@@ -3,9 +3,9 @@
 //
 // Doubles as the DseEngine performance harness: the same sweep runs through
 // the serial path (the pre-engine behavior: no cache, one candidate at a
-// time) and the OpenMP-parallel engine, asserts bit-identity between the
-// two, re-runs the parallel engine warm to measure the memo cache, and
-// emits BENCH_fig6_dse.json with the wall-clock trajectory.
+// time) and the parallel engine on the xl::exec pool, asserts bit-identity
+// between the two, re-runs the parallel engine warm to measure the memo
+// cache, and emits BENCH_fig6_dse.json with the wall-clock trajectory.
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -16,10 +16,6 @@
 #include "dnn/models.hpp"
 
 #include "exec/task_pool.hpp"
-
-#if defined(XL_USE_OPENMP) && defined(_OPENMP)
-#include <omp.h>
-#endif
 
 namespace {
 
@@ -55,11 +51,7 @@ int main() {
   const DseSweep sweep;  // Full default sweep.
   const auto models = xl::dnn::table1_models();
 
-#if defined(XL_USE_OPENMP) && defined(_OPENMP)
-  const int threads = omp_get_max_threads();
-#else
   const int threads = static_cast<int>(xl::exec::width());
-#endif
 
   // Serial reference: the pre-engine sweep shape (no memo, no parallelism).
   DseEngine::Options serial_opts;

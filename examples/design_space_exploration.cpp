@@ -4,7 +4,7 @@
 // Sweeps (N, K, n, m) across two area-budget slices, and recommends the best
 // FPS/EPB configuration plus runner-ups for latency- or power-optimized
 // deployments off the (fps, epb, area, power) Pareto front. Candidates are
-// evaluated OpenMP-parallel through the api::Session registry path (the
+// evaluated in parallel through the api::Session registry path (the
 // analytical backend matching each candidate's variant); the engine's memo
 // cache means the second, wider budget slice reuses every evaluation of the
 // first.

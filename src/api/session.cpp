@@ -87,7 +87,7 @@ EvalResult Session::evaluate_functional(const std::string& backend_name,
 core::DseResult Session::run_dse(const core::DseSweep& sweep,
                                  const std::vector<dnn::ModelSpec>& models,
                                  const core::DseEngine::Options& options) {
-  // The engine's memo (and its OpenMP team) is one shared resource:
+  // The engine's memo is one shared resource:
   // concurrent run_dse calls are serialized rather than interleaved.
   std::lock_guard<std::mutex> dse_lock(dse_mutex_);
   if (sweep.effects.size() > 1) {
@@ -98,7 +98,7 @@ core::DseResult Session::run_dse(const core::DseSweep& sweep,
         "effects-sensitive evaluator instead");
   }
   // Resolve the per-variant backends up front: Backend creation mutates the
-  // session cache, while the evaluator below runs on OpenMP workers. The
+  // session cache, while the evaluator below runs on executor lanes. The
   // analytical backends themselves are stateless and thread-safe.
   std::map<core::Variant, Backend*> backends;
   for (core::Variant v : sweep.variant_axis()) {

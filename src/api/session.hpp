@@ -93,7 +93,7 @@ class Session {
 
   /// Fig. 6 design-space exploration routed through the registry: every
   /// candidate (N, K, n, m, variant, resolution, budget) is evaluated
-  /// OpenMP-parallel by the analytical backend matching its variant, with
+  /// in parallel on the xl::exec pool by the analytical backend matching its variant, with
   /// the session config supplying the remaining knobs. The result carries
   /// the ranked points, the (fps, epb, area, power) Pareto front, flagged
   /// degenerate candidates, and cache statistics. The engine's memo

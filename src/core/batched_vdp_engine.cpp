@@ -6,10 +6,6 @@
 #include <stdexcept>
 #include <vector>
 
-#if defined(XL_USE_OPENMP) && defined(_OPENMP)
-#include <omp.h>
-#endif
-
 #include "core/effect_pipeline.hpp"
 #include "exec/exec.hpp"
 #include "numerics/gemm.hpp"
@@ -19,8 +15,8 @@ namespace xl::core {
 
 namespace {
 /// Output tile edge: 32x32 pairs keep the per-sample activation row and the
-/// per-output detuning row hot in cache while giving the executor (or the
-/// legacy OpenMP schedule) enough tiles to balance.
+/// per-output detuning row hot in cache while giving the executor enough
+/// tiles to balance.
 constexpr std::size_t kTile = 32;
 
 /// Arena span granularity (matches Arena's 64-byte bump alignment).
@@ -139,21 +135,6 @@ numerics::Matrix BatchedVdpEngine::photonic_matmul(const numerics::Matrix& x,
     }
   };
 
-#if defined(XL_USE_OPENMP) && defined(_OPENMP)
-#pragma omp parallel
-  {
-    xl::photonics::VdpScratch scratch;
-    std::vector<unsigned char> neg(k);
-#pragma omp for collapse(2) schedule(static)
-    for (std::int64_t bt = 0; bt < static_cast<std::int64_t>(row_tiles); ++bt) {
-      for (std::int64_t ot = 0; ot < static_cast<std::int64_t>(col_tiles); ++ot) {
-        run_pair_tile(static_cast<std::size_t>(bt) * col_tiles +
-                          static_cast<std::size_t>(ot),
-                      scratch, neg.data());
-      }
-    }
-  }
-#else
   auto& pool = thread_pool();  // Sized before the region; hot loop never grows it.
   exec::parallel_for(0, row_tiles * col_tiles, 1,
                      [&](std::size_t f0, std::size_t f1, std::size_t lane) {
@@ -163,14 +144,13 @@ numerics::Matrix BatchedVdpEngine::photonic_matmul(const numerics::Matrix& x,
                          run_pair_tile(f, ts.scratch, ts.neg.data());
                        }
                      });
-#endif
   return y;
 }
 
 PackedGemmWeights BatchedVdpEngine::pack_weights(const float* w, std::size_t outputs,
                                                  std::size_t k) const {
   // Round-trip through a double Matrix so the scale pass runs the exact
-  // row_abs_max kernel the legacy overload uses (float -> double conversion
+  // row_abs_max kernel the Matrix overload uses (float -> double conversion
   // is exact, so the packed tables carry the same bytes).
   numerics::Matrix w_m(outputs, k);
   for (std::size_t o = 0; o < outputs; ++o) {
@@ -217,14 +197,9 @@ std::size_t BatchedVdpEngine::gemm_table_elems(std::size_t k) const {
 
 std::vector<std::unique_ptr<BatchedVdpEngine::ThreadScratch>>&
 BatchedVdpEngine::thread_pool() {
-  // One scratch entry per lane/thread that can execute tiles: the OpenMP
-  // build covers omp_get_max_threads(), the executor build covers the
-  // current pool's width (lane ids are always < width()).
-#if defined(XL_USE_OPENMP) && defined(_OPENMP)
-  const auto want = static_cast<std::size_t>(std::max(1, omp_get_max_threads()));
-#else
+  // One scratch entry per executor lane that can run tiles (lane ids are
+  // always < width()).
   const std::size_t want = exec::width();
-#endif
   while (thread_scratch_.size() < want) {
     thread_scratch_.push_back(std::make_unique<ThreadScratch>());
   }
@@ -328,8 +303,7 @@ void BatchedVdpEngine::photonic_matmul(const float* x, std::size_t batch,
   auto& pool = thread_pool();
 
   // Carry-table rebuild, one output row per iteration. Rows are disjoint, so
-  // any partition is bit-free; the parallel region's barrier publishes the
-  // tables to every thread/lane before the pair loop reads any.
+  // any partition is bit-free.
   const auto rebuild_carry_row = [&](std::size_t o) {
     if (w.sw[o] == 0.0) return;  // Row skipped by the pair loop too.
     lut.build_carry_table({w.det.data() + o * k, k}, crosstalk, fx,
@@ -369,30 +343,6 @@ void BatchedVdpEngine::photonic_matmul(const float* x, std::size_t batch,
     }
   };
 
-#if defined(XL_USE_OPENMP) && defined(_OPENMP)
-#pragma omp parallel
-  {
-    const auto tid = static_cast<std::size_t>(omp_get_thread_num());
-    ThreadScratch& ts = *pool[tid];
-    if (ts.neg.size() < k) ts.neg.resize(k);  // No-op after warm_thread_scratch.
-    // `rebuild_tables` is computed before the parallel region, so every
-    // thread takes the same branch around the worksharing construct.
-    if (rebuild_tables) {
-#pragma omp for schedule(static)
-      for (std::int64_t o = 0; o < static_cast<std::int64_t>(outputs); ++o) {
-        rebuild_carry_row(static_cast<std::size_t>(o));
-      }
-    }
-#pragma omp for collapse(2) schedule(static)
-    for (std::int64_t bt = 0; bt < static_cast<std::int64_t>(row_tiles); ++bt) {
-      for (std::int64_t ot = 0; ot < static_cast<std::int64_t>(col_tiles); ++ot) {
-        run_pair_tile(static_cast<std::size_t>(bt) * col_tiles +
-                          static_cast<std::size_t>(ot),
-                      ts);
-      }
-    }
-  }
-#else
   if (rebuild_tables) {
     // parallel_for's return is the barrier: every carry row happens-before
     // the pair loop below on every lane.
@@ -411,7 +361,6 @@ void BatchedVdpEngine::photonic_matmul(const float* x, std::size_t batch,
                          run_pair_tile(f, ts);
                        }
                      });
-#endif
   if (rebuild_tables) tables.stamp = frame_stamp;
   workspace.rewind(marker);
 }

@@ -14,9 +14,8 @@
 // element is bit-identical to the scalar sim.dot(X.row(b), W.row(o)) —
 // verified by tests/test_batched_vdp_engine.cpp.
 //
-// Output tiles are processed in parallel on the xl::exec work-stealing pool
-// (or OpenMP under -DXL_USE_OPENMP=ON); each element is owned by exactly one
-// tile, so results are deterministic for any thread count and steal order.
+// Output tiles are processed in parallel on the xl::exec work-stealing pool;
+// each element is owned by exactly one tile, so results are deterministic for any thread count and steal order.
 #pragma once
 
 #include <cstddef>
@@ -89,7 +88,7 @@ class BatchedVdpEngine {
   /// form consumed by the caller-provided-output photonic_matmul overload.
   /// The pack reproduces the Matrix overload's weight pass exactly (same
   /// row_abs_max kernel, same detune/sign/zero tables), so planned GEMMs are
-  /// bit-identical to the legacy path.
+  /// bit-identical to the Matrix overload.
   [[nodiscard]] PackedGemmWeights pack_weights(const float* w, std::size_t outputs,
                                                std::size_t k) const;
 
@@ -162,17 +161,15 @@ class BatchedVdpEngine {
   void reset_stats() noexcept { stats_ = BatchedVdpStats{}; }
 
  private:
-  /// Per-lane (executor) / per-thread (OpenMP) reusable buffers for the
-  /// planned GEMM path. Heap
-  /// pointers (not values) so entries never move when the pool grows and
-  /// false sharing between threads is avoided.
+  /// Per-lane reusable buffers for the planned GEMM path. Heap pointers (not
+  /// values) so entries never move when the pool grows and false sharing
+  /// between lanes is avoided.
   struct ThreadScratch {
     xl::photonics::VdpScratch scratch;
     std::vector<unsigned char> neg;  ///< Folded-sign row (>= k entries).
   };
 
-  /// Grow the pool to the current lane/thread budget (exec::width(), or
-  /// omp_get_max_threads() under XL_USE_OPENMP); returns it.
+  /// Grow the pool to the current executor width; returns it.
   std::vector<std::unique_ptr<ThreadScratch>>& thread_pool();
 
   VdpSimOptions opts_;

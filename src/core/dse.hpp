@@ -99,7 +99,7 @@ using DseEvaluator =
     std::function<AcceleratorReport(const ArchitectureConfig&, const xl::dnn::ModelSpec&)>;
 
 /// Run the sweep over the given model zoo; results ranked by dse_point_less.
-/// Evaluates with CrossLightAccelerator (OpenMP-parallel; bit-identical to
+/// Evaluates with CrossLightAccelerator (executor-parallel; bit-identical to
 /// the serial path). Degenerate evaluations are dropped from the ranking —
 /// retrieve them via DseEngine::run if needed. Throws std::invalid_argument
 /// on invalid sweeps, including a budget that rejects every candidate.

@@ -12,10 +12,6 @@
 #include <type_traits>
 #include <utility>
 
-#if defined(XL_USE_OPENMP) && defined(_OPENMP)
-#include <omp.h>
-#endif
-
 #include "exec/exec.hpp"
 
 namespace xl::core {
@@ -315,28 +311,8 @@ std::vector<DseMemoEntry> DseEngine::evaluate_missing(
   std::vector<AcceleratorReport> reports(jobs.size());
   const auto total = jobs.size();
   if (options_.parallel) {
-#if defined(XL_USE_OPENMP) && defined(_OPENMP)
-    std::size_t done = 0;
-    std::exception_ptr failure;
-#pragma omp parallel for schedule(dynamic)
-    for (long long i = 0; i < static_cast<long long>(jobs.size()); ++i) {
-      try {
-        reports[i] = evaluate(*jobs[i].candidate, *jobs[i].model);
-        if (options_.progress) {
-          // Increment and report under one critical section so the observed
-          // counts are monotone even when worker threads race to report.
-#pragma omp critical(xl_dse_progress)
-          options_.progress(++done, total);
-        }
-      } catch (...) {
-#pragma omp critical(xl_dse_failure)
-        if (!failure) failure = std::current_exception();
-      }
-    }
-    if (failure) std::rethrow_exception(failure);
-#else
-    // Executor build: the progress counter and first-failure capture are
-    // mutex-free accumulators. fetch_add gives each completion a unique
+    // The progress counter and first-failure capture are mutex-free
+    // accumulators. fetch_add gives each completion a unique
     // monotone count; the exchange elects the one lane that records the
     // exception, published with release and re-read with acquire below.
     std::atomic<std::size_t> done{0};
@@ -364,7 +340,6 @@ std::vector<DseMemoEntry> DseEngine::evaluate_missing(
     if (failure_published.load(std::memory_order_acquire)) {
       std::rethrow_exception(failure);
     }
-#endif
   } else {
     std::size_t done = 0;
     for (std::size_t i = 0; i < jobs.size(); ++i) {

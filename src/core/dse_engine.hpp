@@ -1,7 +1,7 @@
 // DseEngine — the parallel, memoizing design-space exploration subsystem.
 //
 // The sweep grid (tuple axes x scenario axes) is flattened into a dense
-// candidate queue; candidates are evaluated OpenMP-parallel with results
+// candidate queue; candidates are evaluated on the xl::exec pool with results
 // written into a pre-sized vector indexed by job id, so the outcome is
 // bit-identical to the serial path for any thread count and schedule. A
 // per-(configuration, model) memo cache persists across run() calls on the
@@ -33,7 +33,7 @@ struct DseCandidate {
 };
 
 /// Candidate-level evaluator. MUST be thread-safe when the engine runs in
-/// parallel mode: it is invoked concurrently from OpenMP worker threads.
+/// parallel mode: it is invoked concurrently from executor lanes.
 using DseCandidateEvaluator =
     std::function<AcceleratorReport(const DseCandidate&, const xl::dnn::ModelSpec&)>;
 
@@ -113,8 +113,7 @@ struct DseResult {
 class DseEngine {
  public:
   struct Options {
-    bool parallel = true;      ///< Parallel candidate evaluation (xl::exec
-                               ///< pool, or OpenMP under XL_USE_OPENMP).
+    bool parallel = true;      ///< Parallel candidate evaluation (xl::exec).
     bool cache_enabled = true; ///< Memoize reports across run() calls.
     std::size_t top_k = 0;     ///< Keep only the k best points (0 = all).
     /// Optional progress callback. Counts are unique and each call observes

@@ -1,5 +1,7 @@
 #include "core/execution_plan.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <stdexcept>
 #include <utility>
@@ -27,13 +29,17 @@ std::size_t round64(std::size_t bytes) {
 }  // namespace
 
 ExecutionPlan::ExecutionPlan(PhotonicInferenceEngine& engine,
-                             const Shape& sample_shape, std::size_t max_batch)
-    : engine_(engine) {
+                             const Shape& sample_shape, std::size_t max_batch,
+                             std::size_t first_layer)
+    : engine_(engine), first_layer_(first_layer) {
   if (sample_shape.size() < 2) {
     throw std::invalid_argument("ExecutionPlan: sample shape must have rank >= 2");
   }
   if (max_batch == 0) {
     throw std::invalid_argument("ExecutionPlan: max_batch must be >= 1");
+  }
+  if (first_layer >= engine_.network().layer_count()) {
+    throw std::invalid_argument("ExecutionPlan: first layer past the network");
   }
   sample_shape_ = sample_shape;
   sample_shape_[0] = 1;
@@ -52,8 +58,8 @@ ExecutionPlan::ExecutionPlan(PhotonicInferenceEngine& engine,
   std::size_t max_scratch = 0;               ///< Peak matmul arena scratch.
   std::size_t max_k = 0;                     ///< Longest GEMM operand.
 
-  steps_.reserve(net.layer_count());
-  for (std::size_t i = 0; i < net.layer_count(); ++i) {
+  steps_.reserve(net.layer_count() - first_layer);
+  for (std::size_t i = first_layer; i < net.layer_count(); ++i) {
     dnn::Layer& layer = net.layer(i);
     Step step;
     step.layer = &layer;
@@ -208,20 +214,47 @@ void ExecutionPlan::run_conv(Step& step, std::size_t rows, const float* in,
   engine_.stats_.photonic_macs += gemm_rows * out_ch * cols;
 }
 
-void ExecutionPlan::run_fallback(const Step& step, std::size_t rows,
-                                 const float* in, float* out) {
+const Shape& ExecutionPlan::shape_before(std::size_t layer) const {
+  if (layer < first_layer_ || layer > end_layer()) {
+    throw std::out_of_range("ExecutionPlan: layer outside the compiled range");
+  }
+  return layer == end_layer() ? output_sample_shape_ : steps_[layer - first_layer_].in_shape;
+}
+
+dnn::Tensor ExecutionPlan::input_tensor(const Step& step, std::size_t rows,
+                                        const float* in) {
   shape_tmp_.assign(step.in_shape.begin(), step.in_shape.end());
   shape_tmp_[0] = rows;
   dnn::Tensor x(shape_tmp_);
   std::memcpy(x.data(), in, rows * step.in_numel * sizeof(float));
-  const dnn::Tensor o = step.layer->forward(x, false);
+  return x;
+}
+
+void ExecutionPlan::run_fallback(const Step& step, std::size_t rows,
+                                 const float* in, float* out) {
+  const dnn::Tensor o = step.layer->forward(input_tensor(step, rows, in), false);
   std::memcpy(out, o.data(), rows * step.out_numel * sizeof(float));
 }
 
+void ExecutionPlan::reference_pass(const Step& step, std::size_t rows,
+                                   const float* in, const float* out) {
+  const dnn::Tensor reference =
+      step.layer->forward(input_tensor(step, rows, in), false);
+  double& worst = engine_.stats_.max_abs_layer_error;
+  for (std::size_t j = 0; j < reference.numel(); ++j) {
+    worst = std::max(worst, static_cast<double>(std::abs(out[j] - reference[j])));
+  }
+}
+
 void ExecutionPlan::execute(std::span<const RowViewIn> inputs,
-                            std::span<const RowViewOut> outputs) {
+                            std::span<const RowViewOut> outputs,
+                            std::size_t begin_layer, std::size_t end_layer) {
   if (inputs.size() != outputs.size()) {
     throw std::invalid_argument("ExecutionPlan::execute: view count mismatch");
+  }
+  if (begin_layer < first_layer_ || begin_layer >= end_layer ||
+      end_layer > this->end_layer()) {
+    throw std::invalid_argument("ExecutionPlan::execute: layer range outside the plan");
   }
   std::size_t total = 0;
   for (std::size_t i = 0; i < inputs.size(); ++i) {
@@ -236,26 +269,31 @@ void ExecutionPlan::execute(std::span<const RowViewIn> inputs,
   if (total > max_batch_) {
     throw std::invalid_argument("ExecutionPlan::execute: rows exceed plan max_batch");
   }
+  const std::span<Step> range{steps_.data() + (begin_layer - first_layer_),
+                              end_layer - begin_layer};
+  const std::size_t in_numel = range.front().in_numel;
+  const std::size_t out_numel = range.back().out_numel;
+  const bool track_error = engine_.track_layer_error();
 
   // Gather: requests land back-to-back in the first activation buffer.
   float* cur = act_a_.data();
   float* next = act_b_.data();
   std::size_t off = 0;
   for (const RowViewIn& v : inputs) {
-    std::memcpy(cur + off * sample_numel_, v.data,
-                v.rows * sample_numel_ * sizeof(float));
+    std::memcpy(cur + off * in_numel, v.data, v.rows * in_numel * sizeof(float));
     off += v.rows;
   }
 
-  for (Step& step : steps_) {
+  for (Step& step : range) {
     switch (step.kind) {
       case StepKind::kDenseGemm:
-        run_dense(step, total, cur, next);
-        std::swap(cur, next);
-        engine_.engine().advance_effects(layer_dt_us_);
-        break;
       case StepKind::kConvGemm:
-        run_conv(step, total, cur, next);
+        if (step.kind == StepKind::kDenseGemm) {
+          run_dense(step, total, cur, next);
+        } else {
+          run_conv(step, total, cur, next);
+        }
+        if (track_error) reference_pass(step, total, cur, next);
         std::swap(cur, next);
         engine_.engine().advance_effects(layer_dt_us_);
         break;
@@ -278,17 +316,18 @@ void ExecutionPlan::execute(std::span<const RowViewIn> inputs,
     }
   }
 
-  // Scatter: each request's logit rows go straight to its caller-held buffer.
+  // Scatter: each request's rows go straight to its caller-held buffer.
   off = 0;
   for (const RowViewOut& v : outputs) {
-    std::memcpy(v.data, cur + off * output_numel_,
-                v.rows * output_numel_ * sizeof(float));
+    std::memcpy(v.data, cur + off * out_numel, v.rows * out_numel * sizeof(float));
     off += v.rows;
   }
 
   ++stats_.executions;
-  engine_.stats_.samples_inferred += total;
-  engine_.stats_.batches_inferred += 1;
+  if (begin_layer == 0 && end_layer == engine_.network().layer_count()) {
+    engine_.stats_.samples_inferred += total;
+    engine_.stats_.batches_inferred += 1;
+  }
 }
 
 }  // namespace xl::core

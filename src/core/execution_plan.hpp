@@ -1,10 +1,8 @@
-// ExecutionPlan — the cached, arena-backed inference program of one engine.
+// ExecutionPlan — the compiled, arena-backed inference program of one engine,
+// and the only forward path PhotonicInferenceEngine has.
 //
-// A PhotonicInferenceEngine walks its network generically on every
-// infer_batch() call: shape vectors, im2col patch tensors, operand Matrix
-// copies and per-layer output Tensors are all rebuilt per request. A compiled
-// ExecutionPlan hoists everything that depends only on (network, sample
-// shape, max batch) out of the hot path:
+// A compiled plan hoists everything that depends only on (network, first
+// layer, sample shape, max batch) out of the hot path:
 //
 //   * per accelerated layer, the weight-side GEMM operand is packed once
 //     (BatchedVdpEngine::pack_weights) — quantized detunings, sign/zero
@@ -22,15 +20,18 @@
 //     time stamp) — lives in one bump-pointer numerics::Arena sized at
 //     compile time.
 //
-// execute() gathers rows directly from caller-held RowViewIn views, runs the
-// steps, and scatters logits to the paired RowViewOut views: after the first
-// (warm-up) execution the steady state performs zero heap allocations.
+// A plan covers the layers [first_layer, layer_count) of the network and
+// can run any contiguous sub-range of them: execute() gathers rows directly
+// from caller-held RowViewIn views, runs the steps, and scatters the result
+// to the paired RowViewOut views. After the first (warm-up) execution the
+// steady state performs zero heap allocations — unless the engine's opt-in
+// per-layer reference pass (track_layer_error) is on, which runs each GEMM
+// layer's float forward() beside the photonic step.
 //
-// Bit-identity contract: for identical inputs, effect timeline and weights,
-// execute() produces exactly the bytes of the legacy infer_batch() path —
-// plans change where bytes live, never what is computed
-// (tests/test_hotpath.cpp enforces this across effect sets, batch shapes and
-// thread counts).
+// Determinism contract: logits are a pure function of (inputs, weights,
+// effect timeline) — independent of batch composition, the range split, the
+// executor width and the SIMD tier (tests/test_hotpath.cpp holds the plan to
+// a layer-by-layer reference forward across effect sets and batch shapes).
 //
 // Thread safety: none. One plan per engine, driven by one worker at a time.
 #pragma once
@@ -57,24 +58,42 @@ struct PlanStats {
 
 class ExecutionPlan {
  public:
-  /// Compile the plan for `engine`'s network over samples of `sample_shape`
-  /// (batch dimension ignored) and micro-batches of up to `max_batch` rows.
+  /// Compile the layers [first_layer, layer_count) of `engine`'s network
+  /// over samples of `sample_shape` (the shape entering layer first_layer;
+  /// batch dimension ignored) and micro-batches of up to `max_batch` rows.
   /// Packs weights, precomputes gather maps, and carves all workspaces from
   /// the plan's arena. Throws std::invalid_argument on unusable shapes.
   ExecutionPlan(PhotonicInferenceEngine& engine, const dnn::Shape& sample_shape,
-                std::size_t max_batch);
+                std::size_t max_batch, std::size_t first_layer = 0);
 
   ExecutionPlan(const ExecutionPlan&) = delete;
   ExecutionPlan& operator=(const ExecutionPlan&) = delete;
 
-  /// Run the compiled program over the concatenation of `inputs` (paired
-  /// 1:1 with `outputs`; each pair must agree on rows). Total rows must be
-  /// in [1, max_batch()] — the engine's infer_views recompiles on growth
-  /// before calling this. Advances the engine's effect timeline exactly as
-  /// the legacy path does (one thermal dt per accelerated layer) and accrues
-  /// the same engine stats.
-  void execute(std::span<const RowViewIn> inputs,
-               std::span<const RowViewOut> outputs);
+  /// Run the layers [begin_layer, end_layer) over the concatenation of
+  /// `inputs` (paired 1:1 with `outputs`; each pair must agree on rows).
+  /// Input rows have shape_before(begin_layer), output rows
+  /// shape_before(end_layer); first_layer() <= begin_layer < end_layer <=
+  /// end_layer(). Total rows must be in [1, max_batch()] — the engine
+  /// recompiles on growth before calling this. Advances the engine's effect
+  /// timeline by one thermal dt per accelerated layer run; the engine's
+  /// sample/batch counters accrue only when the range is the whole network.
+  void execute(std::span<const RowViewIn> inputs, std::span<const RowViewOut> outputs,
+               std::size_t begin_layer, std::size_t end_layer);
+
+  /// The whole compiled program, [first_layer(), end_layer()).
+  void execute(std::span<const RowViewIn> inputs, std::span<const RowViewOut> outputs) {
+    execute(inputs, outputs, first_layer_, end_layer());
+  }
+
+  /// Network layer index of the first compiled step.
+  [[nodiscard]] std::size_t first_layer() const noexcept { return first_layer_; }
+  /// One past the last compiled layer (the network's layer count).
+  [[nodiscard]] std::size_t end_layer() const noexcept {
+    return first_layer_ + steps_.size();
+  }
+  /// Batch-1 shape entering `layer` (first_layer() <= layer <= end_layer();
+  /// end_layer() gives the output shape).
+  [[nodiscard]] const dnn::Shape& shape_before(std::size_t layer) const;
 
   [[nodiscard]] const dnn::Shape& sample_shape() const noexcept {
     return sample_shape_;
@@ -123,8 +142,16 @@ class ExecutionPlan {
   void run_dense(Step& step, std::size_t rows, const float* in, float* out);
   void run_conv(Step& step, std::size_t rows, const float* in, float* out);
   void run_fallback(const Step& step, std::size_t rows, const float* in, float* out);
+  /// Copy `rows` samples entering `step` into a Tensor (allocates).
+  [[nodiscard]] dnn::Tensor input_tensor(const Step& step, std::size_t rows,
+                                         const float* in);
+  /// track_layer_error: the layer's float forward() on the GEMM step's
+  /// input, folded into the engine's max_abs_layer_error.
+  void reference_pass(const Step& step, std::size_t rows, const float* in,
+                      const float* out);
 
   PhotonicInferenceEngine& engine_;
+  std::size_t first_layer_ = 0;     ///< Network index of steps_[0].
   dnn::Shape sample_shape_;         ///< Batch-1 basis input shape.
   dnn::Shape output_sample_shape_;  ///< Batch-1 basis output shape.
   std::size_t sample_numel_ = 0;

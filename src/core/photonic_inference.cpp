@@ -3,21 +3,43 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "core/execution_plan.hpp"
-#include "dnn/conv2d.hpp"
-#include "dnn/dense.hpp"
-#include "dnn/im2col.hpp"
-#include "numerics/matrix.hpp"
 
 namespace xl::core {
 
-using dnn::Conv2d;
-using dnn::Dense;
 using dnn::LayerKind;
 using dnn::Shape;
 using dnn::Tensor;
-using numerics::Matrix;
+
+std::size_t first_non_finite_row(const float* data, std::size_t rows,
+                                 std::size_t row_numel) noexcept {
+  for (std::size_t r = 0; r < rows; ++r) {
+    const float* row = data + r * row_numel;
+    for (std::size_t i = 0; i < row_numel; ++i) {
+      if (!std::isfinite(row[i])) return r;
+    }
+  }
+  return rows;
+}
+
+namespace {
+
+/// Shape and finiteness checks every Tensor entry point applies.
+void check_batch(const Tensor& batch) {
+  if (batch.rank() < 2 || batch.dim(0) == 0) {
+    throw std::invalid_argument("PhotonicInference: batch must have rank >= 2 and N >= 1");
+  }
+  const std::size_t rows = batch.dim(0);
+  const std::size_t bad = first_non_finite_row(batch.data(), rows, batch.numel() / rows);
+  if (bad < rows) {
+    throw std::invalid_argument("PhotonicInference: non-finite input in row " +
+                                std::to_string(bad));
+  }
+}
+
+}  // namespace
 
 PhotonicInferenceEngine::PhotonicInferenceEngine(dnn::Network& network,
                                                  const VdpSimOptions& options)
@@ -27,8 +49,9 @@ PhotonicInferenceEngine::PhotonicInferenceEngine(dnn::Network& network,
 PhotonicInferenceEngine::~PhotonicInferenceEngine() = default;
 
 ExecutionPlan& PhotonicInferenceEngine::prepare_plan(const Shape& sample_shape,
-                                                     std::size_t max_batch) {
-  plan_ = std::make_unique<ExecutionPlan>(*this, sample_shape, max_batch);
+                                                     std::size_t max_batch,
+                                                     std::size_t first_layer) {
+  plan_ = std::make_unique<ExecutionPlan>(*this, sample_shape, max_batch, first_layer);
   return *plan_;
 }
 
@@ -36,8 +59,8 @@ void PhotonicInferenceEngine::invalidate_plan() noexcept { plan_.reset(); }
 
 void PhotonicInferenceEngine::infer_views(std::span<const RowViewIn> inputs,
                                           std::span<const RowViewOut> outputs) {
-  if (plan_ == nullptr) {
-    throw std::logic_error("PhotonicInference: infer_views without a compiled plan");
+  if (plan_ == nullptr || plan_->first_layer() != 0) {
+    throw std::logic_error("PhotonicInference: infer_views without a whole-network plan");
   }
   std::size_t total = 0;
   for (const RowViewIn& v : inputs) total += v.rows;
@@ -53,116 +76,31 @@ void PhotonicInferenceEngine::set_eval_batch_size(std::size_t n) {
   eval_batch_ = n;
 }
 
-void PhotonicInferenceEngine::accumulate_layer_error(const Tensor& photonic,
-                                                     const Tensor& reference) {
-  for (std::size_t j = 0; j < photonic.numel(); ++j) {
-    stats_.max_abs_layer_error =
-        std::max(stats_.max_abs_layer_error,
-                 static_cast<double>(std::abs(photonic[j] - reference[j])));
-  }
-}
-
-Tensor PhotonicInferenceEngine::run_dense_photonic(const Tensor& input, Dense& layer) {
-  if (input.rank() != 2 || input.dim(1) != layer.in_features()) {
-    throw std::invalid_argument("PhotonicInference: dense input shape mismatch");
-  }
-  const std::size_t batch = input.dim(0);
-  const std::size_t in = layer.in_features();
-  const std::size_t out_f = layer.out_features();
-
-  Matrix x(batch, in);
-  for (std::size_t b = 0; b < batch; ++b) {
-    for (std::size_t i = 0; i < in; ++i) x(b, i) = input.at2(b, i);
-  }
-  Matrix w(out_f, in);
-  for (std::size_t o = 0; o < out_f; ++o) {
-    for (std::size_t i = 0; i < in; ++i) w(o, i) = layer.weights().at2(o, i);
-  }
-
-  const Matrix y = engine_.photonic_matmul(x, w);
-  Tensor out({batch, out_f});
-  for (std::size_t b = 0; b < batch; ++b) {
-    for (std::size_t o = 0; o < out_f; ++o) {
-      out.at2(b, o) = static_cast<float>(y(b, o) + layer.bias()[o]);
+ExecutionPlan& PhotonicInferenceEngine::plan_for(const Tensor& batch,
+                                                 std::size_t begin_layer) {
+  const std::size_t rows = batch.dim(0);
+  // Steady-state traffic with a stable shape reuses the cached plan; a new
+  // sample shape or a range the plan does not cover compiles from
+  // begin_layer, and a batch that outgrew the plan recompiles it as it was.
+  const auto covers = [&]() {
+    if (plan_ == nullptr || begin_layer < plan_->first_layer()) return false;
+    const Shape& planned = plan_->shape_before(begin_layer);
+    if (planned.size() != batch.rank()) return false;
+    for (std::size_t d = 1; d < planned.size(); ++d) {
+      if (planned[d] != batch.dim(d)) return false;
     }
+    return true;
+  };
+  if (!covers()) {
+    prepare_plan(batch.shape(), rows, begin_layer);
+  } else if (rows > plan_->max_batch()) {
+    const Shape shape = plan_->sample_shape();  // Copy: prepare_plan replaces plan_.
+    prepare_plan(shape, rows, plan_->first_layer());
   }
-  stats_.photonic_matmuls += 1;
-  stats_.photonic_dot_products += batch * out_f;
-  stats_.photonic_macs += batch * out_f * in;
-  return out;
-}
-
-Tensor PhotonicInferenceEngine::run_conv_photonic(const Tensor& input, Conv2d& layer) {
-  const Shape out_shape = layer.output_shape(input.shape());
-  const auto& cfg = layer.config();
-
-  // Shared im2col lowering: the whole batch becomes one patch-matrix GEMM
-  // against the filter rows (Section IV-C.1, batched).
-  const Tensor patches = dnn::im2col(input, cfg);
-  const std::size_t rows = patches.dim(0);
-  const std::size_t patch_len = patches.dim(1);
-
-  Matrix x(rows, patch_len);
-  for (std::size_t r = 0; r < rows; ++r) {
-    const float* src = patches.data() + r * patch_len;
-    for (std::size_t i = 0; i < patch_len; ++i) x(r, i) = src[i];
-  }
-  Matrix w(cfg.out_channels, patch_len);
-  for (std::size_t co = 0; co < cfg.out_channels; ++co) {
-    const float* src = layer.weights().data() + co * patch_len;
-    for (std::size_t i = 0; i < patch_len; ++i) w(co, i) = src[i];
-  }
-
-  const Matrix y = engine_.photonic_matmul(x, w);
-  const std::size_t pixels = out_shape[2] * out_shape[3];
-  Tensor out(out_shape);
-  float* dst = out.data();
-  for (std::size_t r = 0; r < rows; ++r) {
-    const std::size_t n = r / pixels;
-    const std::size_t pixel = r % pixels;
-    for (std::size_t co = 0; co < cfg.out_channels; ++co) {
-      dst[(n * cfg.out_channels + co) * pixels + pixel] =
-          static_cast<float>(y(r, co) + layer.bias()[co]);
-    }
-  }
-  stats_.photonic_matmuls += 1;
-  stats_.photonic_dot_products += rows * cfg.out_channels;
-  stats_.photonic_macs += rows * cfg.out_channels * patch_len;
-  return out;
+  return *plan_;
 }
 
 Tensor PhotonicInferenceEngine::infer_batch(const Tensor& batch) {
-  if (plan_enabled_ && !track_layer_error_) {
-    if (batch.rank() < 2 || batch.dim(0) == 0) {
-      throw std::invalid_argument(
-          "PhotonicInference: batch must have rank >= 2 and N >= 1");
-    }
-    const std::size_t rows = batch.dim(0);
-    // Recompile when the sample shape changed or the batch outgrew the plan;
-    // steady-state traffic with a stable shape reuses the cached plan.
-    const auto sample_matches = [&]() {
-      if (plan_ == nullptr) return false;
-      const Shape& planned = plan_->sample_shape();
-      if (planned.size() != batch.rank()) return false;
-      for (std::size_t d = 1; d < planned.size(); ++d) {
-        if (planned[d] != batch.dim(d)) return false;
-      }
-      return true;
-    };
-    if (!sample_matches()) {
-      prepare_plan(batch.shape(), rows);
-    } else if (rows > plan_->max_batch()) {
-      const Shape shape = plan_->sample_shape();
-      prepare_plan(shape, rows);
-    }
-    Shape out_shape = plan_->output_sample_shape();
-    out_shape[0] = rows;
-    Tensor out(out_shape);
-    const RowViewIn in{batch.data(), rows};
-    const RowViewOut ov{out.data(), rows};
-    plan_->execute({&in, 1}, {&ov, 1});
-    return out;
-  }
   return infer_range(batch, 0, network_.layer_count());
 }
 
@@ -180,66 +118,33 @@ std::size_t PhotonicInferenceEngine::accelerated_layers_before(
 Tensor PhotonicInferenceEngine::infer_range(const Tensor& batch,
                                             std::size_t begin_layer,
                                             std::size_t end_layer) {
-  if (batch.rank() < 2 || batch.dim(0) == 0) {
-    throw std::invalid_argument("PhotonicInference: batch must have rank >= 2 and N >= 1");
-  }
+  check_batch(batch);
   const std::size_t end = std::min(end_layer, network_.layer_count());
   if (begin_layer > end) {
     throw std::invalid_argument("PhotonicInference: begin_layer past end_layer");
   }
-  // Simulated time per accelerated layer: thermal drift evolves across the
-  // network's depth (and across batches — the chip does not cool down
-  // between them). advance_effects is a no-op without a thermal stage.
-  const double layer_dt_us = engine_.options().effects.thermal_stage.dt_us;
-  Tensor x = batch;
-  for (std::size_t i = begin_layer; i < end; ++i) {
-    dnn::Layer& layer = network_.layer(i);
-    bool accelerated = false;
-    switch (layer.kind_id()) {
-      case LayerKind::kDense: {
-        auto& dense = static_cast<Dense&>(layer);
-        if (track_layer_error_) {
-          const Tensor reference = dense.forward(x, false);
-          x = run_dense_photonic(x, dense);
-          accumulate_layer_error(x, reference);
-        } else {
-          x = run_dense_photonic(x, dense);
-        }
-        accelerated = true;
-        break;
-      }
-      case LayerKind::kConv: {
-        auto& conv = static_cast<Conv2d&>(layer);
-        if (track_layer_error_) {
-          const Tensor reference = conv.forward(x, false);
-          x = run_conv_photonic(x, conv);
-          accumulate_layer_error(x, reference);
-        } else {
-          x = run_conv_photonic(x, conv);
-        }
-        accelerated = true;
-        break;
-      }
-      case LayerKind::kPool:
-      case LayerKind::kActivation:
-      case LayerKind::kOther:
-        // Electronic-domain layer (pooling, activation, flatten, dropout).
-        x = layer.forward(x, false);
-        break;
-    }
-    if (accelerated) engine_.advance_effects(layer_dt_us);
-  }
-  if (begin_layer == 0 && end == network_.layer_count()) {
-    stats_.samples_inferred += batch.dim(0);
-    stats_.batches_inferred += 1;
-  }
-  return x;
+  if (begin_layer == end) return batch;
+  ExecutionPlan& plan = plan_for(batch, begin_layer);
+  const std::size_t rows = batch.dim(0);
+  Shape out_shape = plan.shape_before(end);
+  out_shape[0] = rows;
+  Tensor out(out_shape);
+  const RowViewIn in{batch.data(), rows};
+  const RowViewOut ov{out.data(), rows};
+  plan.execute({&in, 1}, {&ov, 1}, begin_layer, end);
+  return out;
 }
 
 double PhotonicInferenceEngine::evaluate_accuracy(const dnn::Dataset& data,
                                                   std::size_t count) {
   if (count == 0 || count > data.size()) {
     throw std::invalid_argument("PhotonicInference: bad sample count");
+  }
+  const std::size_t row_numel = data.images.numel() / data.size();
+  const std::size_t bad = first_non_finite_row(data.images.data(), count, row_numel);
+  if (bad < count) {
+    throw std::invalid_argument("PhotonicInference: non-finite input in dataset row " +
+                                std::to_string(bad));
   }
   std::size_t correct = 0;
   for (std::size_t start = 0; start < count; start += eval_batch_) {

@@ -4,14 +4,20 @@
 // batched photonic GEMMs on BatchedVdpEngine (quantizers, Lorentzian MR
 // transmissions, inter-channel crosstalk, balanced photodetection) while
 // pooling/activations run electronically — the hardware/software split of
-// Fig. 3. CONV layers go through the shared dnn::im2col lowering, so a whole
+// Fig. 3. CONV layers go through the shared im2col lowering, so a whole
 // batch of images becomes one patch-matrix GEMM; FC layers map directly.
-// Layer routing uses the LayerKind taxonomy instead of dynamic_cast chains.
 //
-// infer_batch() accepts any batch size (the legacy single-sample infer()
-// wrapper is gone; pass a batch of one). The exact software reference pass
-// per layer (for max_abs_layer_error) is opt-in via set_track_layer_error —
-// accuracy sweeps no longer pay the 2x reference compute.
+// There is one forward path: a cached ExecutionPlan (core/execution_plan.hpp)
+// compiled on first use and recompiled when the sample shape changes or a
+// batch outgrows it. infer_batch(), evaluate_accuracy() and the serving
+// shards' infer_views() run the whole plan; infer_range() runs a contiguous
+// layer range of it (the fleet's trunk/tail split, per-layer tracing). The
+// exact software reference pass per GEMM layer (for max_abs_layer_error) is
+// opt-in via set_track_layer_error and runs inside the plan.
+//
+// Inputs holding a NaN or an infinity are rejected with
+// std::invalid_argument naming the first offending row: a non-finite value
+// must never come back as a plausible logit.
 //
 // When the engine's effect pipeline has a thermal stage, simulated time
 // advances by one thermal dt per accelerated layer, so drift evolves across
@@ -29,14 +35,14 @@
 #include "dnn/datasets.hpp"
 #include "dnn/network.hpp"
 
-namespace xl::dnn {
-class Dense;
-class Conv2d;
-}  // namespace xl::dnn
-
 namespace xl::core {
 
 class ExecutionPlan;
+
+/// Index of the first of `rows` consecutive rows of `row_numel` floats that
+/// holds a NaN or an infinity; `rows` when every value is finite.
+[[nodiscard]] std::size_t first_non_finite_row(const float* data, std::size_t rows,
+                                               std::size_t row_numel) noexcept;
 
 /// Non-owning view of one caller-held block of input samples (row-major,
 /// `rows` consecutive samples). Planned execution gathers a micro-batch
@@ -89,48 +95,48 @@ class PhotonicInferenceEngine {
   PhotonicInferenceEngine(dnn::Network& network, const VdpSimOptions& options = {});
   ~PhotonicInferenceEngine();
 
-  /// Photonic logits for a whole batch (batch dimension N >= 1). Every
-  /// accelerated layer issues one photonic GEMM over the batch. When planned
-  /// execution is enabled (set_plan_enabled) and no per-layer error tracking
-  /// is on, the batch routes through the cached ExecutionPlan — bit-identical
-  /// output, zero steady-state heap allocation inside the engine.
+  /// Photonic logits for a whole batch (batch dimension N >= 1): the whole
+  /// network through the cached plan. Every accelerated layer issues one
+  /// photonic GEMM over the batch.
   [[nodiscard]] dnn::Tensor infer_batch(const dnn::Tensor& batch);
 
-  /// Enable routing of infer_batch / infer_views through a cached
-  /// ExecutionPlan (off by default; serving turns it on per shard engine).
-  /// Mutating the network's weights afterwards requires invalidate_plan().
-  void set_plan_enabled(bool enabled) noexcept { plan_enabled_ = enabled; }
-  [[nodiscard]] bool plan_enabled() const noexcept { return plan_enabled_; }
+  /// Compile (or recompile) the plan for the layers [first_layer, end) over
+  /// samples of sample_shape (the shape entering first_layer; its batch
+  /// dimension is ignored) and batches of up to max_batch rows.
+  ExecutionPlan& prepare_plan(const dnn::Shape& sample_shape, std::size_t max_batch,
+                              std::size_t first_layer = 0);
 
-  /// Compile (or recompile) the plan for (sample_shape, max_batch) and
-  /// return it. sample_shape's batch dimension is ignored (treated as 1).
-  ExecutionPlan& prepare_plan(const dnn::Shape& sample_shape, std::size_t max_batch);
-
-  /// Drop the cached plan (required after mutating layer weights/topology;
-  /// the next planned call recompiles).
+  /// Drop the cached plan. The plan packs the weights when it compiles, so
+  /// mutating layer weights or topology afterwards requires this call; the
+  /// next inference recompiles.
   void invalidate_plan() noexcept;
 
   /// The cached plan, or nullptr when none is compiled.
   [[nodiscard]] const ExecutionPlan* plan() const noexcept { return plan_.get(); }
 
-  /// Planned inference over caller-held row views: inputs are gathered from
-  /// `inputs` and logits scattered to the paired `outputs` with no
-  /// intermediate tensors. Requires a compiled plan (prepare_plan); the plan
-  /// recompiles automatically when the total row count exceeds its max
-  /// batch. Effects advance exactly as infer_batch does; bit-identical
-  /// logits to the legacy path.
+  /// Whole-network inference over caller-held row views: inputs are
+  /// gathered from `inputs` and logits scattered to the paired `outputs`
+  /// with no intermediate tensors. Requires a whole-network plan
+  /// (prepare_plan with first_layer 0); the plan recompiles automatically
+  /// when the total row count exceeds its max batch. Effects advance exactly
+  /// as infer_batch does. Inputs are not checked for finiteness: callers
+  /// validate (ServingRuntime::submit does).
   void infer_views(std::span<const RowViewIn> inputs,
                    std::span<const RowViewOut> outputs);
 
   /// Run only the layer range [begin, end) of the network on `batch`
-  /// (end is clamped to layer_count()). The fleet's model-parallel path
-  /// splits one forward pass into trunk / boundary-tile / tail segments:
-  /// because every accelerated layer advances simulated time identically
-  /// whichever engine executes it, stitching ranges back together is
-  /// bit-identical to one infer_batch() call — provided the caller lines
-  /// the engines up on the same effect timeline first (reset_effects +
-  /// one advance per accelerated layer already executed). Sample/batch
-  /// counters accrue only on full passes (begin == 0 && end >= count).
+  /// (end is clamped to layer_count(); an empty range returns the batch).
+  /// The cached plan serves the range when it covers begin_layer at this
+  /// input shape; otherwise the plan recompiles starting at begin_layer, so
+  /// a fresh engine whose first call starts mid-network works. The fleet's
+  /// model-parallel path splits one forward pass into trunk / boundary-tile
+  /// / tail segments: because every accelerated layer advances simulated
+  /// time identically whichever engine executes it, stitching ranges back
+  /// together is bit-identical to one infer_batch() call — provided the
+  /// caller lines the engines up on the same effect timeline first
+  /// (reset_effects + one advance per accelerated layer already executed).
+  /// Sample/batch counters accrue only on full passes (begin == 0 &&
+  /// end >= count).
   [[nodiscard]] dnn::Tensor infer_range(const dnn::Tensor& batch,
                                         std::size_t begin_layer,
                                         std::size_t end_layer);
@@ -146,7 +152,8 @@ class PhotonicInferenceEngine {
   [[nodiscard]] double evaluate_accuracy(const dnn::Dataset& data, std::size_t count);
 
   /// Enable/disable the exact per-layer software reference pass feeding
-  /// stats().max_abs_layer_error. Off by default.
+  /// stats().max_abs_layer_error: each GEMM step of the plan also runs the
+  /// layer's float forward() on the same input (allocating; off by default).
   void set_track_layer_error(bool enabled) noexcept { track_layer_error_ = enabled; }
   [[nodiscard]] bool track_layer_error() const noexcept { return track_layer_error_; }
 
@@ -166,19 +173,17 @@ class PhotonicInferenceEngine {
   [[nodiscard]] dnn::Network& network() noexcept { return network_; }
 
  private:
-  friend class ExecutionPlan;  ///< Plans accrue the same stats counters.
-  [[nodiscard]] dnn::Tensor run_dense_photonic(const dnn::Tensor& input,
-                                               dnn::Dense& layer);
-  [[nodiscard]] dnn::Tensor run_conv_photonic(const dnn::Tensor& input,
-                                              dnn::Conv2d& layer);
-  void accumulate_layer_error(const dnn::Tensor& photonic, const dnn::Tensor& reference);
+  friend class ExecutionPlan;  ///< Plans accrue the engine's stats counters.
+
+  /// The cached plan, recompiled unless it covers begin_layer at `batch`'s
+  /// sample shape with room for its rows.
+  ExecutionPlan& plan_for(const dnn::Tensor& batch, std::size_t begin_layer);
 
   dnn::Network& network_;
   BatchedVdpEngine engine_;
   PhotonicInferenceStats stats_;
   bool track_layer_error_ = false;
   std::size_t eval_batch_ = 16;
-  bool plan_enabled_ = false;
   std::unique_ptr<ExecutionPlan> plan_;  ///< Cached compiled plan (or null).
 };
 

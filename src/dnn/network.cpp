@@ -2,11 +2,29 @@
 
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "dnn/conv2d.hpp"
 #include "dnn/dense.hpp"
 
 namespace xl::dnn {
+
+Network::Network(Network&& other) noexcept
+    : layers_(std::move(other.layers_)),
+      ranges_(std::move(other.ranges_)),
+      quant_(other.quant_) {
+  for (const LayerPtr& l : layers_) l->set_quantization(&quant_);
+}
+
+Network& Network::operator=(Network&& other) noexcept {
+  if (this != &other) {
+    layers_ = std::move(other.layers_);
+    ranges_ = std::move(other.ranges_);
+    quant_ = other.quant_;
+    for (const LayerPtr& l : layers_) l->set_quantization(&quant_);
+  }
+  return *this;
+}
 
 Network& Network::add(LayerPtr layer) {
   if (!layer) throw std::invalid_argument("Network::add: null layer");

@@ -13,6 +13,14 @@ namespace xl::dnn {
 class Network {
  public:
   Network() = default;
+  /// Layers point at their network's quantization spec, so a move re-points
+  /// every layer at the destination's (a defaulted move would leave them
+  /// aimed at the moved-from network).
+  Network(Network&& other) noexcept;
+  Network& operator=(Network&& other) noexcept;
+  Network(const Network&) = delete;
+  Network& operator=(const Network&) = delete;
+  ~Network() = default;
 
   /// Append a layer; returns a reference to *this for chaining.
   Network& add(LayerPtr layer);

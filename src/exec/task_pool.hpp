@@ -2,8 +2,8 @@
 // parallel spine (numerics GEMM, core batched VDP + DSE, serve, fleet).
 //
 // Why it exists: PR 6/8 removed compute and allocator overhead from the
-// hot path, but every inference still paid OpenMP fork-join setup and
-// barrier cost per GEMM region, and serve/fleet parked one dedicated OS
+// hot path, but every inference still paid fork-join setup and barrier
+// cost per GEMM region, and serve/fleet parked one dedicated OS
 // thread per component. This pool is created once per process (or per
 // test scope), keeps its workers parked on a condvar parking lot between
 // bursts, and exposes two primitives:
@@ -39,13 +39,12 @@
 // (exec.hpp provides the lambda trampoline). When every slot is busy or
 // the pool has one lane, the call degrades to inline serial execution of
 // the same tile set. Nested parallel_for calls (from inside a tile) are
-// serialized inline, matching OpenMP's nested-disabled default.
+// serialized inline.
 //
 // Width resolution mirrors XL_DISABLE_SIMD: the XL_EXEC_THREADS
 // environment variable overrides the default hardware_concurrency width
 // (resolved once, at first use); tests pin widths in-process with
-// ScopedPool. CMake's XL_USE_OPENMP=ON keeps the original OpenMP regions
-// for A/B benching — this pool is the default.
+// ScopedPool. It is the only threading backend in the tree.
 #pragma once
 
 #include <array>

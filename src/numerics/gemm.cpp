@@ -26,7 +26,7 @@ Matrix matmul_transposed(const Matrix& a, const Matrix& b, std::size_t tile) {
     throw std::invalid_argument("matmul_transposed: inner dimension mismatch");
   }
   // Default tile = 64 rows of A per work item: wide enough that the packed-B
-  // streaming below is amortized across many dot products per OpenMP task,
+  // streaming below is amortized across many dot products per executor tile,
   // narrow enough to load-balance small batches across threads. (Column
   // blocking of the pre-kernel implementation is superseded by panel
   // packing: B is read once into a cache-friendly interleaved layout.)
@@ -78,17 +78,10 @@ Matrix matmul_transposed(const Matrix& a, const Matrix& b, std::size_t tile) {
       }
     }
   };
-#if defined(XL_USE_OPENMP) && defined(_OPENMP)
-#pragma omp parallel for schedule(static)
-  for (std::int64_t rt = 0; rt < static_cast<std::int64_t>(row_tiles); ++rt) {
-    run_row_tile(static_cast<std::size_t>(rt));
-  }
-#else
   exec::parallel_for(0, row_tiles, 1,
                      [&](std::size_t t0, std::size_t t1, std::size_t) {
                        for (std::size_t rt = t0; rt < t1; ++rt) run_row_tile(rt);
                      });
-#endif
   return c;
 }
 

@@ -26,7 +26,7 @@ namespace xl::numerics {
 
 /// C = A * B^T: A is (m x k), B is (n x k), C is (m x n). Throws
 /// std::invalid_argument on inner-dimension mismatch. Parallelized over row
-/// tiles (`tile` rows of A per OpenMP work item; 0 selects the default of
+/// tiles on the xl::exec pool (`tile` rows of A per tile; 0 selects the default of
 /// 64, documented in the implementation) — results are deterministic and
 /// tile-independent (each output element is owned by exactly one iteration
 /// and accumulates in a fixed order).

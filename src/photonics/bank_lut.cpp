@@ -241,7 +241,7 @@ double MrBankTransferLut::vdp_dot(std::span<const double> a_mag,
     // Balanced detection sums 2 * len independent per-channel noise currents
     // in quadrature. Each draw is keyed on the chunk's operands (activation
     // magnitudes, imprint detunings, arm signs, chunk position), never on
-    // evaluation order, so scalar, batched, and any OpenMP schedule sample
+    // evaluation order, so scalar, batched, and any executor schedule sample
     // the same perturbation; only genuinely identical operand chunks share a
     // draw. The keys for every chunk are collected first so the draws go
     // through one bulk hash_gaussian_keys kernel call — bit-identical to the

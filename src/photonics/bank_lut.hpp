@@ -51,7 +51,7 @@ struct VdpScratch {
 ///   * noise_std: relative per-channel photodetector noise (1/sqrt(SNR));
 ///     0 disables. The draw is keyed on (noise_seed, chunk position, the
 ///     chunk's operand bit patterns), a pure function of the operands —
-///     scalar, batched, and any OpenMP thread count sample identical noise,
+///     scalar, batched, and any executor width sample identical noise,
 ///     and distinct operand chunks get independent draws.
 struct VdpEffects {
   std::span<const double> ring_drift_nm;

@@ -9,6 +9,11 @@
 namespace xl::scenario {
 namespace {
 
+/// Deepest nesting of parentheses and unary signs the parser accepts. Each
+/// level costs a few stack frames, so an unbounded input ("((((…" 300k deep)
+/// would overflow the stack; no scenario value comes near this.
+constexpr int kMaxDepth = 256;
+
 // Recursive-descent parser over the classic three-level grammar:
 //   expr   := term (('+' | '-') term)*
 //   term   := factor (('*' | '/' | '%') factor)*
@@ -26,8 +31,12 @@ class Parser {
 
  private:
   [[noreturn]] void fail(const std::string& what) const {
-    throw std::invalid_argument("expression '" + std::string(text_) + "': " +
-                                what + " at position " + std::to_string(pos_));
+    constexpr std::size_t kShown = 80;  // Quote at most this much of the text.
+    const std::string shown = text_.size() <= kShown
+                                  ? std::string(text_)
+                                  : std::string(text_.substr(0, kShown - 3)) + "...";
+    throw std::invalid_argument("expression '" + shown + "': " + what +
+                                " at position " + std::to_string(pos_));
   }
 
   void skip_ws() {
@@ -78,22 +87,62 @@ class Parser {
     }
   }
 
+  /// One level of parenthesis or unary-sign nesting, bounded by kMaxDepth.
+  class Nest {
+   public:
+    explicit Nest(Parser& p) : p_(p) {
+      if (p_.depth_ == kMaxDepth) {
+        p_.fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+      }
+      ++p_.depth_;
+    }
+    ~Nest() { --p_.depth_; }
+    Nest(const Nest&) = delete;
+    Nest& operator=(const Nest&) = delete;
+
+   private:
+    Parser& p_;
+  };
+
   double factor() {
     skip_ws();
     if (eat('(')) {
+      const Nest nest(*this);
       const double value = expr();
       if (!eat(')')) fail("missing ')'");
       return value;
     }
-    if (eat('-')) return -factor();
-    if (eat('+')) return factor();
+    if (eat('-')) {
+      const Nest nest(*this);
+      return -factor();
+    }
+    if (eat('+')) {
+      const Nest nest(*this);
+      return factor();
+    }
     return number();
   }
 
   double number() {
     skip_ws();
     if (pos_ >= text_.size()) fail("expected a number");
-    const std::string rest(text_.substr(pos_));
+    // Copy only the literal's own characters (alphanumerics, '.', and a
+    // sign right after a decimal exponent), so a long expression costs
+    // O(n) to parse rather than one copy of the remaining text per literal.
+    const bool hex = text_.size() - pos_ > 2 && text_[pos_] == '0' &&
+                     (text_[pos_ + 1] == 'x' || text_[pos_ + 1] == 'X');
+    std::size_t len = 0;
+    while (pos_ + len < text_.size()) {
+      const char c = text_[pos_ + len];
+      const char prev = len > 0 ? text_[pos_ + len - 1] : '\0';
+      const bool exponent_sign =
+          !hex && (c == '+' || c == '-') && (prev == 'e' || prev == 'E');
+      if (!std::isalnum(static_cast<unsigned char>(c)) && c != '.' && !exponent_sign) {
+        break;
+      }
+      ++len;
+    }
+    const std::string rest(text_.substr(pos_, len));
     char* end = nullptr;
     double value = 0.0;
     if (rest.size() > 2 && rest[0] == '0' && (rest[1] == 'x' || rest[1] == 'X')) {
@@ -112,6 +161,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< Open parentheses and unary signs on the current path.
 };
 
 }  // namespace

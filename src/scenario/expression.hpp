@@ -11,8 +11,10 @@
 //   eval_expression("0xC0FFEE")      == 12648430.0
 //   eval_expression("3 % 2 - 0.5")   == 0.5
 //
-// Errors (stray characters, unbalanced parentheses, division by zero)
-// throw std::invalid_argument quoting the offending expression.
+// Errors (stray characters, unbalanced parentheses, division by zero, and
+// parentheses or unary signs nested more than 256 deep) throw
+// std::invalid_argument quoting the offending expression (its first 80
+// characters). Parsing is linear in the text length.
 #pragma once
 
 #include <string_view>

@@ -300,7 +300,6 @@ ScenarioSpec ScenarioSpec::parse(const ScenarioDocument& doc,
     o.queue_capacity = s.get_size("queue_capacity", o.queue_capacity);
     o.pace_hardware_time = s.get_bool("pace_hardware_time", o.pace_hardware_time);
     o.pace_scale = s.get_double("pace_scale", o.pace_scale);
-    o.use_execution_plan = s.get_bool("use_execution_plan", o.use_execution_plan);
     spec.tenants = s.get_size("tenants", spec.tenants);
     if (spec.tenants == 0) {
       throw std::invalid_argument("scenario: " + s.where("tenants") +
@@ -484,7 +483,6 @@ std::string ScenarioSpec::serialize() const {
   kv("tenants", fmt(tenants));
   kv("pace_hardware_time", fmt(serving.pace_hardware_time));
   kv("pace_scale", fmt(serving.pace_scale));
-  kv("use_execution_plan", fmt(serving.use_execution_plan));
 
   out += "\n[fleet]\n";
   kv("nodes", fmt(fleet_nodes));

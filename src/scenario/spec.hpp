@@ -30,7 +30,7 @@
 //   [arrivals]     process (burst|poisson|trace), requests, rate_per_s,
 //                  seed, trace (rows per request)
 //   [serving]      workers, max_batch, deadline_us, queue_capacity, tenants,
-//                  pace_hardware_time, pace_scale, use_execution_plan
+//                  pace_hardware_time, pace_scale
 //   [fleet]        nodes, partition, model_parallel
 //   [dse]          N, K, n, m, variants, resolutions, budgets_mm2,
 //                  max_area_mm2, top_k, serial

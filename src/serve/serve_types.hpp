@@ -79,13 +79,6 @@ struct ServingOptions {
   std::size_t queue_capacity = 4096;  ///< Admission backpressure bound.
   bool pace_hardware_time = false;    ///< Sleep to the simulated makespan.
   double pace_scale = 1.0;            ///< Wall-us slept per simulated us.
-  /// Route shard inference through cached ExecutionPlans (compiled once per
-  /// (shard, model) at start()): micro-batches gather/scatter straight
-  /// between request tensors and arena-backed workspaces, with zero heap
-  /// allocations per request in the engine's steady state. Logits are
-  /// bit-identical to the legacy per-batch path (tests/test_hotpath.cpp);
-  /// turning this off recovers the pre-plan execution for A/B comparison.
-  bool use_execution_plan = true;
   /// Run shards as demand-dispatched drain tasks on the xl::exec blocking
   /// lane instead of `workers` dedicated threads parked in queue.pop().
   /// submit() hands an idle shard its own request directly — for a lone

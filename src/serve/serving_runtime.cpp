@@ -1,7 +1,9 @@
 #include "serve/serving_runtime.hpp"
 
 #include <algorithm>
+#include <exception>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace xl::serve {
@@ -101,6 +103,16 @@ std::future<InferResult> ServingRuntime::submit(const std::string& model,
   }
 
   PendingRequest pending;
+  const std::size_t bad =
+      core::first_non_finite_row(input.data(), rows, input.numel() / rows);
+  if (bad < rows) {
+    // Only this request fails: it never enters the queue, so no micro-batch
+    // (and no other request's logits) ever sees the value.
+    pending.promise.set_exception(std::make_exception_ptr(std::invalid_argument(
+        "ServingRuntime: non-finite input in row " + std::to_string(bad) + " for " +
+        model)));
+    return pending.promise.get_future();
+  }
   pending.request.model = model;
   pending.request.input = std::move(input);
   // Preallocate the result logits on the submitter's thread: the worker hot

@@ -93,7 +93,10 @@ class ServingRuntime {
   /// Enqueue one request; blocks only when the queue is at capacity.
   /// Validates the model name and input shape (throws std::invalid_argument;
   /// rows must be in [1, max_batch]) and throws std::runtime_error when the
-  /// runtime is not started or already stopping.
+  /// runtime is not started or already stopping. An input holding a NaN or
+  /// an infinity is never queued: the returned future fails with
+  /// std::invalid_argument naming the first offending row, and no other
+  /// request is affected.
   [[nodiscard]] std::future<InferResult> submit(const std::string& model,
                                                 dnn::Tensor input);
 

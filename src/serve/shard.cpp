@@ -1,7 +1,6 @@
 #include "serve/shard.hpp"
 
 #include <chrono>
-#include <cstring>
 #include <exception>
 #include <stdexcept>
 #include <thread>
@@ -29,13 +28,9 @@ AcceleratorShard::AcceleratorShard(std::size_t id, const ModelRepository& models
     shard_model->network = models.replicate(name);
     shard_model->engine = std::make_unique<core::PhotonicInferenceEngine>(
         shard_model->network, vdp);
-    if (options_.use_execution_plan) {
-      // Compile the plan eagerly (weight packing, im2col index maps, arena
-      // sizing) so no worker thread ever pays the compilation cost.
-      shard_model->engine->set_plan_enabled(true);
-      shard_model->engine->prepare_plan(models.find(name).input_shape,
-                                        options_.max_batch);
-    }
+    // Compile the plan eagerly (weight packing, im2col index maps, arena
+    // sizing) so no worker thread ever pays the compilation cost.
+    shard_model->engine->prepare_plan(models.find(name).input_shape, options_.max_batch);
     if (options_.pace_hardware_time) {
       shard_model->mapping =
           core::map_model(models.find(name).spec, options_.architecture);
@@ -77,55 +72,25 @@ void AcceleratorShard::execute(MicroBatch&& batch) {
     // invariant to batch composition, shard assignment, and worker count.
     entry.engine->engine().reset_effects();
 
-    if (options_.use_execution_plan) {
-      // Planned path: the cached ExecutionPlan gathers request rows straight
-      // from each request's input tensor and scatters logits straight into
-      // its preallocated result tensor — no coalesced copy, no per-request
-      // logits allocation, zero engine-side heap traffic after warm-up.
-      const core::ExecutionPlan* plan = entry.engine->plan();
-      in_views_.clear();
-      out_views_.clear();
-      for (PendingRequest& pending : batch.requests) {
-        const std::size_t k = pending.rows();
-        if (pending.result.logits.numel() != k * plan->output_numel()) {
-          // submit() normally preallocates; cover direct-injected requests.
-          dnn::Shape out_shape = plan->output_sample_shape();
-          out_shape[0] = k;
-          pending.result.logits = dnn::Tensor(out_shape);
-        }
-        in_views_.push_back({pending.request.input.data(), k});
-        out_views_.push_back({pending.result.logits.data(), k});
+    // The cached ExecutionPlan gathers request rows straight from each
+    // request's input tensor and scatters logits straight into its
+    // preallocated result tensor — no coalesced copy, no per-request logits
+    // allocation, zero engine-side heap traffic after warm-up.
+    const core::ExecutionPlan* plan = entry.engine->plan();
+    in_views_.clear();
+    out_views_.clear();
+    for (PendingRequest& pending : batch.requests) {
+      const std::size_t k = pending.rows();
+      if (pending.result.logits.numel() != k * plan->output_numel()) {
+        // submit() normally preallocates; cover direct-injected requests.
+        dnn::Shape out_shape = plan->output_sample_shape();
+        out_shape[0] = k;
+        pending.result.logits = dnn::Tensor(out_shape);
       }
-      entry.engine->infer_views(in_views_, out_views_);
-    } else {
-      // Legacy path: stack every request's rows into one (rows, ...) tensor,
-      // run the batched forward pass, and split the logits back per request.
-      // All requests were shape-checked against the model at submit().
-      const dnn::Tensor& head = batch.requests.front().request.input;
-      dnn::Shape shape = head.shape();
-      shape[0] = batch.rows;
-      dnn::Tensor coalesced(shape);
-      const std::size_t row_numel = head.numel() / head.dim(0);
-      std::size_t row = 0;
-      for (const PendingRequest& pending : batch.requests) {
-        const dnn::Tensor& input = pending.request.input;
-        std::memcpy(coalesced.data() + row * row_numel, input.data(),
-                    input.numel() * sizeof(float));
-        row += pending.rows();
-      }
-      const dnn::Tensor logits = entry.engine->infer_batch(coalesced);
-      const std::size_t classes = logits.dim(1);
-      row = 0;
-      for (PendingRequest& pending : batch.requests) {
-        const std::size_t k = pending.rows();
-        if (pending.result.logits.numel() != k * classes) {
-          pending.result.logits = dnn::Tensor({k, classes});
-        }
-        std::memcpy(pending.result.logits.data(), logits.data() + row * classes,
-                    k * classes * sizeof(float));
-        row += k;
-      }
+      in_views_.push_back({pending.request.input.data(), k});
+      out_views_.push_back({pending.result.logits.data(), k});
     }
+    entry.engine->infer_views(in_views_, out_views_);
 
     // The shard is occupied for at least the simulated hardware makespan of
     // this batch (hardware-time pacing; no-op when disabled).

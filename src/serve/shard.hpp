@@ -51,14 +51,11 @@ class AcceleratorShard {
                    const core::VdpSimOptions& vdp, const ServingOptions& options);
 
   /// Execute one micro-batch end to end: reset the engine's effect pipeline
-  /// to boot state, run the batched photonic forward pass, deliver the
-  /// per-request logits, and fulfill every promise (values on success, the
-  /// thrown exception otherwise). With use_execution_plan the batch runs
-  /// through the engine's cached ExecutionPlan over row views — request
-  /// inputs are gathered and logits scattered straight into each request's
-  /// preallocated result tensor, with no coalesced copy and no per-request
-  /// allocation; otherwise the legacy coalesce + infer_batch + split path
-  /// runs. Both paths produce bit-identical logits.
+  /// to boot state, run the batch through the engine's cached ExecutionPlan
+  /// over row views — request inputs are gathered and logits scattered
+  /// straight into each request's preallocated result tensor, with no
+  /// coalesced copy and no per-request allocation — and fulfill every
+  /// promise (values on success, the thrown exception otherwise).
   void execute(MicroBatch&& batch);
 
   /// Race-free copy of this shard's counters (callable while serving).

@@ -1,16 +1,14 @@
 // Batched photonic execution engine tests: per-element parity with the
-// scalar VdpSimulator path, determinism under OpenMP, and work accounting.
+// scalar VdpSimulator path, determinism across executor widths, and work
+// accounting.
 #include <gtest/gtest.h>
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
 
 #include <cmath>
 #include <vector>
 
 #include "core/batched_vdp_engine.hpp"
 #include "core/vdp_simulator.hpp"
+#include "exec/task_pool.hpp"
 #include "numerics/gemm.hpp"
 #include "numerics/rng.hpp"
 
@@ -109,20 +107,18 @@ TEST(BatchedVdpEngine, DeterministicAcrossThreadCounts) {
   numerics::Rng rng(14);
   const auto x = random_matrix(40, 30, rng, -1.0, 1.0);
   const auto w = random_matrix(37, 30, rng, -1.0, 1.0);
-#ifdef _OPENMP
-  const int saved = omp_get_max_threads();
-  omp_set_num_threads(1);
-#endif
-  core::BatchedVdpEngine engine1;
-  const auto y1 = engine1.photonic_matmul(x, w);
-#ifdef _OPENMP
-  omp_set_num_threads(4);
-#endif
-  core::BatchedVdpEngine engine4;
-  const auto y4 = engine4.photonic_matmul(x, w);
-#ifdef _OPENMP
-  omp_set_num_threads(saved);
-#endif
+  numerics::Matrix y1;
+  {
+    const exec::ScopedPool one_lane(1);
+    core::BatchedVdpEngine engine1;
+    y1 = engine1.photonic_matmul(x, w);
+  }
+  numerics::Matrix y4;
+  {
+    const exec::ScopedPool four_lanes(4);
+    core::BatchedVdpEngine engine4;
+    y4 = engine4.photonic_matmul(x, w);
+  }
   for (std::size_t b = 0; b < y1.rows(); ++b) {
     for (std::size_t o = 0; o < y1.cols(); ++o) {
       EXPECT_EQ(y1(b, o), y4(b, o)) << "b=" << b << " o=" << o;

@@ -12,10 +12,6 @@
 #include "dnn/models.hpp"
 #include "exec/task_pool.hpp"
 
-#if defined(XL_USE_OPENMP) && defined(_OPENMP)
-#include <omp.h>
-#endif
-
 namespace xl::core {
 namespace {
 
@@ -182,17 +178,6 @@ TEST(DseEngine, SerialVsParallelBitIdentityAcrossThreadCounts) {
   const DseResult serial = serial_engine.run(small_sweep(), models);
   ASSERT_FALSE(serial.points.empty());
 
-#if defined(XL_USE_OPENMP) && defined(_OPENMP)
-  const int saved = omp_get_max_threads();
-  for (int threads : {1, 4, 16}) {
-    omp_set_num_threads(threads);
-    DseEngine parallel_engine;
-    const DseResult parallel = parallel_engine.run(small_sweep(), models);
-    expect_points_identical(serial.points, parallel.points);
-    expect_points_identical(serial.pareto, parallel.pareto);
-  }
-  omp_set_num_threads(saved);
-#else
   for (std::size_t lanes : {1u, 4u, 16u}) {
     xl::exec::ScopedPool scoped(lanes);
     DseEngine parallel_engine;
@@ -200,7 +185,6 @@ TEST(DseEngine, SerialVsParallelBitIdentityAcrossThreadCounts) {
     expect_points_identical(serial.points, parallel.points);
     expect_points_identical(serial.pareto, parallel.pareto);
   }
-#endif
 }
 
 TEST(DseEngine, SecondRunOfSameSweepDoesZeroEvaluatorCalls) {

@@ -5,12 +5,8 @@
 //      golden values below were captured from the engine before the effect
 //      refactor (same seeds, same shapes).
 //   2. Effects on is deterministic: fixed seeds give identical results for
-//      scalar vs. batched execution and for any OpenMP thread count.
+//      scalar vs. batched execution and for any executor width.
 #include <gtest/gtest.h>
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
 
 #include <cmath>
 #include <vector>
@@ -25,6 +21,7 @@
 #include "dnn/dense.hpp"
 #include "dnn/pooling.hpp"
 #include "dnn/reshape.hpp"
+#include "exec/task_pool.hpp"
 #include "numerics/rng.hpp"
 
 namespace {
@@ -132,23 +129,20 @@ TEST(EffectPipeline, FixedSeedDeterministicAcrossThreadCounts) {
   const numerics::Matrix x = random_matrix(48, 40, rng);
   const numerics::Matrix w = random_matrix(40, 40, rng);
 
-#ifdef _OPENMP
-  const int restore = omp_get_max_threads();
-  omp_set_num_threads(1);
-#endif
-  core::BatchedVdpEngine serial(opts);
-  serial.advance_effects(2.0);
-  const numerics::Matrix y1 = serial.photonic_matmul(x, w);
-
-#ifdef _OPENMP
-  omp_set_num_threads(4);
-#endif
-  core::BatchedVdpEngine parallel(opts);
-  parallel.advance_effects(2.0);
-  const numerics::Matrix y4 = parallel.photonic_matmul(x, w);
-#ifdef _OPENMP
-  omp_set_num_threads(restore);
-#endif
+  numerics::Matrix y1;
+  {
+    const exec::ScopedPool one_lane(1);
+    core::BatchedVdpEngine serial(opts);
+    serial.advance_effects(2.0);
+    y1 = serial.photonic_matmul(x, w);
+  }
+  numerics::Matrix y4;
+  {
+    const exec::ScopedPool four_lanes(4);
+    core::BatchedVdpEngine parallel(opts);
+    parallel.advance_effects(2.0);
+    y4 = parallel.photonic_matmul(x, w);
+  }
 
   for (std::size_t b = 0; b < x.rows(); ++b) {
     for (std::size_t o = 0; o < w.rows(); ++o) {

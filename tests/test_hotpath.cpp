@@ -1,20 +1,27 @@
-// Hot-path tests: the ExecutionPlan bit-identity contract (planned execution
-// produces exactly the bytes of the legacy infer_batch path across effect
-// sets, batch shapes, and serving worker counts), the Arena workspace
-// semantics (alignment, mark/rewind, exhaustion regrow, reset coalescing),
-// the training-gated activation caches, and the zero-allocation steady state
-// measured through the operator-new interposer.
+// Hot-path tests: the ExecutionPlan bit-identity contract (the plan — the
+// engine's only forward path — produces exactly the bytes of a layer-by-layer
+// reference forward across effect sets, batch shapes, layer ranges and
+// serving worker counts), its range execution and opt-in reference pass,
+// non-finite input rejection, the Arena workspace semantics (alignment,
+// mark/rewind, exhaustion regrow, reset coalescing), the training-gated
+// activation caches, and the zero-allocation steady state measured through
+// the operator-new interposer.
 //
 // The ASan+UBSan CI job runs this binary (sanitize matrix covers the arena
 // and the interposed allocator paths).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <future>
+#include <limits>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "core/effect_pipeline.hpp"
 #include "core/effects.hpp"
 #include "core/execution_plan.hpp"
 #include "core/photonic_inference.hpp"
@@ -23,11 +30,13 @@
 #include "dnn/conv2d.hpp"
 #include "dnn/datasets.hpp"
 #include "dnn/dense.hpp"
+#include "dnn/im2col.hpp"
 #include "dnn/models.hpp"
 #include "dnn/pooling.hpp"
 #include "dnn/reshape.hpp"
 #include "numerics/alloc_counter.hpp"
 #include "numerics/arena.hpp"
+#include "numerics/matrix.hpp"
 #include "numerics/rng.hpp"
 #include "serve/serving_runtime.hpp"
 
@@ -113,51 +122,149 @@ VdpSimOptions vdp_with(const char* effects) {
 }
 
 // ---------------------------------------------------------------------------
-// Bit-identity: planned infer_batch == legacy infer_batch.
+// Oracle: the layer-by-layer reference forward the plan must reproduce.
 // ---------------------------------------------------------------------------
 
-void check_plan_bit_identity(dnn::Network legacy_net, dnn::Network planned_net,
+/// Layers [begin, end) of `net` on `batch`, one layer at a time: every
+/// CONV/FC layer copies its operands into Matrix form (im2col patches for a
+/// CONV) and runs the Matrix overload of BatchedVdpEngine::photonic_matmul,
+/// electronic layers run forward(), and simulated time advances one thermal
+/// dt per accelerated layer. `stats` receives the engine-level counters and,
+/// when `track_error` is set, the max |photonic - float| over the GEMM
+/// layers' outputs.
+Tensor oracle_forward(dnn::Network& net, core::BatchedVdpEngine& engine,
+                      const Tensor& batch, std::size_t begin, std::size_t end,
+                      core::PhotonicInferenceStats* stats = nullptr,
+                      bool track_error = false) {
+  using numerics::Matrix;
+  const double dt = engine.options().effects.thermal_stage.dt_us;
+  Tensor x = batch;
+  for (std::size_t l = begin; l < end; ++l) {
+    dnn::Layer& layer = net.layer(l);
+    const dnn::LayerKind kind = layer.kind_id();
+    if (kind != dnn::LayerKind::kDense && kind != dnn::LayerKind::kConv) {
+      x = layer.forward(x, false);
+      continue;
+    }
+    const Tensor reference = track_error ? layer.forward(x, false) : Tensor();
+    Tensor out;
+    std::size_t rows = 0;
+    std::size_t k = 0;
+    std::size_t outputs = 0;
+    if (kind == dnn::LayerKind::kDense) {
+      auto& dense = static_cast<dnn::Dense&>(layer);
+      rows = x.dim(0);
+      k = dense.in_features();
+      outputs = dense.out_features();
+      Matrix xm(rows, k);
+      Matrix wm(outputs, k);
+      for (std::size_t b = 0; b < rows; ++b) {
+        for (std::size_t i = 0; i < k; ++i) xm(b, i) = x.at2(b, i);
+      }
+      for (std::size_t o = 0; o < outputs; ++o) {
+        for (std::size_t i = 0; i < k; ++i) wm(o, i) = dense.weights().at2(o, i);
+      }
+      const Matrix y = engine.photonic_matmul(xm, wm);
+      out = Tensor({rows, outputs});
+      for (std::size_t b = 0; b < rows; ++b) {
+        for (std::size_t o = 0; o < outputs; ++o) {
+          out.at2(b, o) = static_cast<float>(y(b, o) + dense.bias()[o]);
+        }
+      }
+    } else {
+      auto& conv = static_cast<dnn::Conv2d&>(layer);
+      const Shape out_shape = conv.output_shape(x.shape());
+      const Tensor patches = dnn::im2col(x, conv.config());
+      rows = patches.dim(0);
+      k = patches.dim(1);
+      outputs = conv.config().out_channels;
+      Matrix xm(rows, k);
+      Matrix wm(outputs, k);
+      for (std::size_t r = 0; r < rows; ++r) {
+        for (std::size_t i = 0; i < k; ++i) xm(r, i) = patches.data()[r * k + i];
+      }
+      for (std::size_t o = 0; o < outputs; ++o) {
+        for (std::size_t i = 0; i < k; ++i) wm(o, i) = conv.weights().data()[o * k + i];
+      }
+      const Matrix y = engine.photonic_matmul(xm, wm);
+      const std::size_t pixels = out_shape[2] * out_shape[3];
+      out = Tensor(out_shape);
+      for (std::size_t r = 0; r < rows; ++r) {
+        for (std::size_t o = 0; o < outputs; ++o) {
+          out.data()[(r / pixels * outputs + o) * pixels + r % pixels] =
+              static_cast<float>(y(r, o) + conv.bias()[o]);
+        }
+      }
+    }
+    if (stats != nullptr) {
+      stats->photonic_matmuls += 1;
+      stats->photonic_dot_products += rows * outputs;
+      stats->photonic_macs += rows * outputs * k;
+      for (std::size_t j = 0; track_error && j < out.numel(); ++j) {
+        stats->max_abs_layer_error =
+            std::max(stats->max_abs_layer_error,
+                     static_cast<double>(std::abs(out[j] - reference[j])));
+      }
+    }
+    x = std::move(out);
+    engine.advance_effects(dt);
+  }
+  return x;
+}
+
+Tensor oracle_forward(dnn::Network& net, core::BatchedVdpEngine& engine,
+                      const Tensor& batch) {
+  return oracle_forward(net, engine, batch, 0, net.layer_count());
+}
+
+// ---------------------------------------------------------------------------
+// Bit-identity: infer_batch == the oracle.
+// ---------------------------------------------------------------------------
+
+void check_plan_bit_identity(dnn::Network& oracle_net, dnn::Network& planned_net,
                              const Shape& sample_shape, const char* effects) {
   const VdpSimOptions vdp = vdp_with(effects);
-  PhotonicInferenceEngine legacy(legacy_net, vdp);
+  core::BatchedVdpEngine oracle(vdp);
+  core::PhotonicInferenceStats want_stats;
   PhotonicInferenceEngine planned(planned_net, vdp);
-  planned.set_plan_enabled(true);
   for (const std::size_t rows : {std::size_t{1}, std::size_t{3}, std::size_t{8}}) {
     const Tensor x = make_batch(sample_shape, rows, 42 + static_cast<unsigned>(rows));
-    legacy.engine().reset_effects();
+    oracle.reset_effects();
     planned.engine().reset_effects();
     // Two calls without an effects reset in between: the second batch runs
     // on an advanced thermal timeline, so plan reuse (not just the first
     // compile) is held to the bit-identity contract.
     for (unsigned call = 0; call < 2; ++call) {
-      const Tensor want = legacy.infer_batch(x);
+      const Tensor want = oracle_forward(oracle_net, oracle, x, 0,
+                                         oracle_net.layer_count(), &want_stats);
       const Tensor got = planned.infer_batch(x);
       expect_bit_identical(want, got);
     }
   }
-  // Planned execution accrues exactly the legacy engine counters.
-  EXPECT_EQ(legacy.stats().photonic_matmuls, planned.stats().photonic_matmuls);
-  EXPECT_EQ(legacy.stats().photonic_dot_products, planned.stats().photonic_dot_products);
-  EXPECT_EQ(legacy.stats().photonic_macs, planned.stats().photonic_macs);
-  EXPECT_EQ(legacy.stats().samples_inferred, planned.stats().samples_inferred);
-  EXPECT_EQ(legacy.stats().batches_inferred, planned.stats().batches_inferred);
+  // The plan accrues exactly the oracle's work counters.
+  EXPECT_EQ(want_stats.photonic_matmuls, planned.stats().photonic_matmuls);
+  EXPECT_EQ(want_stats.photonic_dot_products, planned.stats().photonic_dot_products);
+  EXPECT_EQ(want_stats.photonic_macs, planned.stats().photonic_macs);
+  EXPECT_EQ(planned.stats().samples_inferred, 2U * (1 + 3 + 8));
+  EXPECT_EQ(planned.stats().batches_inferred, 6U);
 }
 
 TEST(ExecutionPlan, MlpBitIdenticalAcrossEffectSets) {
   for (const char* effects : kEffectSets) {
     SCOPED_TRACE(effects);
-    check_plan_bit_identity(make_mlp(), make_mlp(), {1, 1, 12, 12}, effects);
+    dnn::Network oracle_net = make_mlp();
+    dnn::Network planned_net = make_mlp();
+    check_plan_bit_identity(oracle_net, planned_net, {1, 1, 12, 12}, effects);
   }
 }
 
 TEST(ExecutionPlan, CnnBitIdenticalAcrossEffectSets) {
   for (const char* effects : kEffectSets) {
     SCOPED_TRACE(effects);
-    dnn::Network legacy_net = make_cnn();
+    dnn::Network oracle_net = make_cnn();
     dnn::Network planned_net = make_cnn();
-    warm_batchnorm(legacy_net, planned_net, kCnnSample);
-    check_plan_bit_identity(std::move(legacy_net), std::move(planned_net),
-                            kCnnSample, effects);
+    warm_batchnorm(oracle_net, planned_net, kCnnSample);
+    check_plan_bit_identity(oracle_net, planned_net, kCnnSample, effects);
   }
 }
 
@@ -176,22 +283,22 @@ TEST(ExecutionPlan, CompilesEveryLayerWithoutFallback) {
 // infer_views: multi-view scatter/gather and recompile-on-growth.
 // ---------------------------------------------------------------------------
 
-TEST(ExecutionPlan, SplitViewsMatchCoalescedBatch) {
-  dnn::Network legacy_net = make_mlp();
+TEST(ExecutionPlan, SplitViewsMatchOracle) {
+  dnn::Network oracle_net = make_mlp();
   dnn::Network planned_net = make_mlp();
   const Shape sample = {1, 1, 12, 12};
   const VdpSimOptions vdp = vdp_with("all");
-  PhotonicInferenceEngine legacy(legacy_net, vdp);
+  core::BatchedVdpEngine oracle(vdp);
   PhotonicInferenceEngine planned(planned_net, vdp);
   planned.prepare_plan(sample, 8);
 
   const Tensor x = make_batch(sample, 8, 3);
-  const Tensor want = legacy.infer_batch(x);
+  const Tensor want = oracle_forward(oracle_net, oracle, x);
   const std::size_t sample_numel = x.numel() / 8;
   const std::size_t classes = want.dim(1);
 
   // Rows 0..7 split across three requests (3 + 2 + 3), each with its own
-  // output buffer — the serving shard's planned layout.
+  // output buffer — the serving shard's layout.
   std::vector<float> out0(3 * classes);
   std::vector<float> out1(2 * classes);
   std::vector<float> out2(3 * classes);
@@ -209,15 +316,15 @@ TEST(ExecutionPlan, SplitViewsMatchCoalescedBatch) {
 }
 
 TEST(ExecutionPlan, RecompilesWhenBatchOutgrowsPlan) {
-  dnn::Network legacy_net = make_mlp();
+  dnn::Network oracle_net = make_mlp();
   dnn::Network planned_net = make_mlp();
   const Shape sample = {1, 1, 12, 12};
-  PhotonicInferenceEngine legacy(legacy_net);
+  core::BatchedVdpEngine oracle;
   PhotonicInferenceEngine planned(planned_net);
   planned.prepare_plan(sample, 2);
 
   const Tensor x = make_batch(sample, 5, 9);
-  const Tensor want = legacy.infer_batch(x);
+  const Tensor want = oracle_forward(oracle_net, oracle, x);
   std::vector<float> got(want.numel());
   const RowViewIn in{x.data(), 5};
   const RowViewOut out{got.data(), 5};
@@ -239,7 +346,6 @@ TEST(ExecutionPlan, InferViewsWithoutPlanThrows) {
 TEST(ExecutionPlan, InferBatchRecompilesOnSampleShapeChange) {
   dnn::Network net = make_mlp();
   PhotonicInferenceEngine planned(net);
-  planned.set_plan_enabled(true);
   // Flatten + Dense accept both the image shape and its pre-flattened form;
   // switching shapes must recompile instead of feeding a stale plan.
   const Tensor image = make_batch({1, 1, 12, 12}, 2, 4);
@@ -249,6 +355,145 @@ TEST(ExecutionPlan, InferBatchRecompilesOnSampleShapeChange) {
   planned.engine().reset_effects();
   const Tensor second = planned.infer_batch(flat);
   expect_bit_identical(first, second);
+}
+
+// ---------------------------------------------------------------------------
+// infer_range: layer ranges of the one plan.
+// ---------------------------------------------------------------------------
+
+TEST(ExecutionPlan, StitchedRangesMatchWholePassAndOracle) {
+  dnn::Network oracle_net = make_cnn();
+  dnn::Network net = make_cnn();
+  warm_batchnorm(oracle_net, net, kCnnSample);
+  const VdpSimOptions vdp = vdp_with("all");
+  const Tensor x = make_batch(kCnnSample, 4, 23);
+
+  PhotonicInferenceEngine whole(net, vdp);
+  const Tensor want = whole.infer_batch(x);
+
+  // One layer per call on a fresh engine: the plan compiled by the first
+  // call serves every later range.
+  PhotonicInferenceEngine stitched(net, vdp);
+  Tensor y = x;
+  for (std::size_t l = 0; l < net.layer_count(); ++l) {
+    y = stitched.infer_range(y, l, l + 1);
+  }
+  expect_bit_identical(want, y);
+  EXPECT_EQ(stitched.plan()->first_layer(), 0U);
+  EXPECT_EQ(stitched.plan()->stats().executions, net.layer_count());
+  // Counters: work accrues per range, samples/batches only on full passes.
+  EXPECT_EQ(stitched.stats().photonic_macs, whole.stats().photonic_macs);
+  EXPECT_EQ(stitched.stats().photonic_matmuls, whole.stats().photonic_matmuls);
+  EXPECT_EQ(stitched.stats().samples_inferred, 0U);
+  EXPECT_EQ(stitched.stats().batches_inferred, 0U);
+  EXPECT_EQ(whole.stats().samples_inferred, 4U);
+  EXPECT_EQ(whole.stats().batches_inferred, 1U);
+  // One thermal dt per accelerated layer, whichever way the pass was cut.
+  const double dt = vdp.effects.thermal_stage.dt_us;
+  EXPECT_EQ(stitched.engine().effects().time_us(),
+            whole.engine().effects().time_us());
+  EXPECT_DOUBLE_EQ(whole.engine().effects().time_us(),
+                   dt * static_cast<double>(whole.accelerated_layers_before(
+                            net.layer_count())));
+
+  core::BatchedVdpEngine oracle(vdp);
+  expect_bit_identical(oracle_forward(oracle_net, oracle, x), want);
+}
+
+TEST(ExecutionPlan, FreshEngineRunsATailRange) {
+  // The fleet's tail node: its first call starts mid-network, so the plan
+  // compiles from that layer's input shape.
+  dnn::Network oracle_net = make_cnn();
+  dnn::Network net = make_cnn();
+  warm_batchnorm(oracle_net, net, kCnnSample);
+  const VdpSimOptions vdp = vdp_with("all");
+  const std::size_t split = 6;  // After the second conv: input (N, 4, 2, 2).
+  const Tensor x = make_batch(kCnnSample, 3, 29);
+
+  core::BatchedVdpEngine oracle(vdp);
+  const Tensor boundary = oracle_forward(oracle_net, oracle, x, 0, split);
+  const Tensor want = oracle_forward(oracle_net, oracle, boundary, split,
+                                     oracle_net.layer_count());
+
+  PhotonicInferenceEngine tail(net, vdp);
+  // Line the tail up on the owner's timeline: one dt per accelerated layer
+  // the trunk already ran.
+  for (std::size_t i = 0; i < tail.accelerated_layers_before(split); ++i) {
+    tail.engine().advance_effects(vdp.effects.thermal_stage.dt_us);
+  }
+  const Tensor got = tail.infer_range(boundary, split, net.layer_count());
+  expect_bit_identical(want, got);
+  ASSERT_NE(tail.plan(), nullptr);
+  EXPECT_EQ(tail.plan()->first_layer(), split);
+  EXPECT_EQ(tail.stats().samples_inferred, 0U);
+
+  // A later whole-network call needs layer 0: the plan recompiles.
+  (void)tail.infer_batch(x);
+  EXPECT_EQ(tail.plan()->first_layer(), 0U);
+  EXPECT_THROW((void)tail.infer_range(x, 3, 1), std::invalid_argument);
+  expect_bit_identical(tail.infer_range(x, 2, 2), x);
+}
+
+TEST(ExecutionPlan, ReferencePassMatchesOracleLayerError) {
+  dnn::Network oracle_net = make_cnn();
+  dnn::Network net = make_cnn();
+  warm_batchnorm(oracle_net, net, kCnnSample);
+  const VdpSimOptions vdp = vdp_with("all");
+  const Tensor x = make_batch(kCnnSample, 5, 31);
+
+  core::BatchedVdpEngine oracle(vdp);
+  core::PhotonicInferenceStats want;
+  const Tensor want_logits = oracle_forward(oracle_net, oracle, x, 0,
+                                            oracle_net.layer_count(), &want, true);
+
+  PhotonicInferenceEngine engine(net, vdp);
+  engine.set_track_layer_error(true);
+  const Tensor got = engine.infer_batch(x);
+  expect_bit_identical(want_logits, got);  // The reference pass changes no logit.
+  EXPECT_GT(want.max_abs_layer_error, 0.0);
+  EXPECT_EQ(engine.stats().max_abs_layer_error, want.max_abs_layer_error);
+}
+
+// ---------------------------------------------------------------------------
+// Non-finite inputs are rejected, naming the first offending row.
+// ---------------------------------------------------------------------------
+
+const float kNonFinite[] = {std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity()};
+
+template <typename Fn>
+std::string invalid_argument_message(Fn&& fn) {
+  try {
+    fn();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "expected std::invalid_argument";
+  return {};
+}
+
+TEST(NonFiniteInput, EngineEntryPointsNameTheRow) {
+  dnn::Network net = make_mlp();
+  PhotonicInferenceEngine engine(net);
+  const Shape sample = {1, 1, 12, 12};
+  for (const float bad : kNonFinite) {
+    SCOPED_TRACE(bad);
+    Tensor x = make_batch(sample, 4, 5);
+    x[2 * 144 + 17] = bad;  // Row 2.
+    x[3 * 144] = bad;       // Row 3: only the first offender is named.
+    std::string msg = invalid_argument_message([&] { (void)engine.infer_batch(x); });
+    EXPECT_NE(msg.find("row 2"), std::string::npos) << msg;
+    msg = invalid_argument_message([&] { (void)engine.infer_range(x, 1, 3); });
+    EXPECT_NE(msg.find("row 2"), std::string::npos) << msg;
+
+    dnn::Dataset data = dnn::generate_classification(dnn::table1_proxy_task(), 6, 1);
+    data.images[5 * 144 + 100] = bad;
+    msg = invalid_argument_message([&] { (void)engine.evaluate_accuracy(data, 6); });
+    EXPECT_NE(msg.find("row 5"), std::string::npos) << msg;
+    EXPECT_NO_THROW((void)engine.evaluate_accuracy(data, 5));
+  }
+  EXPECT_EQ(engine.stats().samples_inferred, 5U * 3U);
 }
 
 // ---------------------------------------------------------------------------
@@ -267,7 +512,7 @@ TEST(ExecutionPlan, SteadyStateMakesNoHeapAllocations) {
   const RowViewIn in_view{x.data(), 8};
   const RowViewOut out_view{out.data(), 8};
 
-  // Warm-up: first execution may touch lazily grown OpenMP/thread scratch.
+  // Warm-up: the first execution may grow lazily sized per-lane scratch.
   planned.engine().reset_effects();
   planned.infer_views({&in_view, 1}, {&out_view, 1});
 
@@ -285,46 +530,90 @@ TEST(ExecutionPlan, SteadyStateMakesNoHeapAllocations) {
 }
 
 // ---------------------------------------------------------------------------
-// Serving: planned path == legacy path, across worker counts.
+// Serving: served logits == a solo oracle pass, across worker counts.
 // ---------------------------------------------------------------------------
 
-std::vector<Tensor> serve_trace(bool use_plan, std::size_t workers,
-                                const std::vector<Tensor>& trace) {
-  dnn::Network prototype = make_mlp();
+const char* const kServeEffects = "thermal,noise";
+
+serve::ServingOptions serve_options(std::size_t workers) {
   serve::ServingOptions options;
   options.workers = workers;
   options.max_batch = 8;
   options.deadline_us = 200.0;
-  options.use_execution_plan = use_plan;
-  VdpSimOptions vdp = vdp_with("thermal,noise");
-  serve::ServingRuntime runtime(vdp, options);
-  serve::ServedModel model = serve::table1_proxy_served_model(prototype);
-  runtime.register_model(std::move(model));
-  runtime.start();
+  return options;
+}
+
+std::vector<std::future<serve::InferResult>> submit_all(serve::ServingRuntime& runtime,
+                                                        const std::vector<Tensor>& trace) {
   std::vector<std::future<serve::InferResult>> futures;
   futures.reserve(trace.size());
   for (const Tensor& input : trace) {
     futures.push_back(runtime.submit("table1-proxy-mlp", input));
   }
-  std::vector<Tensor> results;
-  results.reserve(trace.size());
-  for (auto& future : futures) results.push_back(future.get().logits);
-  runtime.stop();
-  return results;
+  return futures;
 }
 
-TEST(ServingHotPath, PlannedLogitsBitIdenticalToLegacyAcrossWorkers) {
+/// Each request alone through the oracle from the boot effect state — the
+/// serving determinism contract's reference.
+std::vector<Tensor> oracle_solo(const std::vector<Tensor>& trace) {
+  dnn::Network net = make_mlp();
+  core::BatchedVdpEngine oracle(vdp_with(kServeEffects));
+  std::vector<Tensor> out;
+  out.reserve(trace.size());
+  for (const Tensor& input : trace) {
+    oracle.reset_effects();
+    out.push_back(oracle_forward(net, oracle, input));
+  }
+  return out;
+}
+
+TEST(ServingHotPath, LogitsBitIdenticalToOracleAcrossWorkers) {
   const dnn::Dataset data =
       dnn::generate_classification(dnn::table1_proxy_task(), 64, /*salt=*/3);
   const std::vector<Tensor> trace = serve::make_mixed_size_trace(data, 24, 4);
-  const std::vector<Tensor> legacy = serve_trace(false, 1, trace);
+  const std::vector<Tensor> want = oracle_solo(trace);
   for (const std::size_t workers : {std::size_t{1}, std::size_t{3}}) {
     SCOPED_TRACE(workers);
-    const std::vector<Tensor> planned = serve_trace(true, workers, trace);
-    ASSERT_EQ(planned.size(), legacy.size());
-    for (std::size_t i = 0; i < legacy.size(); ++i) {
-      expect_bit_identical(legacy[i], planned[i]);
+    dnn::Network prototype = make_mlp();
+    serve::ServingRuntime runtime(vdp_with(kServeEffects), serve_options(workers));
+    runtime.register_model(serve::table1_proxy_served_model(prototype));
+    runtime.start();
+    std::vector<std::future<serve::InferResult>> futures = submit_all(runtime, trace);
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+      expect_bit_identical(want[i], futures[i].get().logits);
     }
+    runtime.stop();
+  }
+}
+
+TEST(ServingHotPath, NonFiniteRequestFailsOnlyItsOwnFuture) {
+  const dnn::Dataset data =
+      dnn::generate_classification(dnn::table1_proxy_task(), 64, /*salt=*/4);
+  const std::vector<Tensor> clean = serve::make_mixed_size_trace(data, 24, 4);
+  const std::vector<Tensor> want = oracle_solo(clean);
+  for (const float bad : kNonFinite) {
+    SCOPED_TRACE(bad);
+    std::vector<Tensor> trace = clean;
+    const std::size_t poisoned = 7;  // Request 7 carries 4 rows; poison row 3.
+    ASSERT_EQ(trace[poisoned].dim(0), 4U);
+    trace[poisoned][3 * 144 + 5] = bad;
+
+    dnn::Network prototype = make_mlp();
+    serve::ServingRuntime runtime(vdp_with(kServeEffects), serve_options(2));
+    runtime.register_model(serve::table1_proxy_served_model(prototype));
+    runtime.start();
+    std::vector<std::future<serve::InferResult>> futures = submit_all(runtime, trace);
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+      if (i == poisoned) {
+        const std::string msg =
+            invalid_argument_message([&] { (void)futures[i].get(); });
+        EXPECT_NE(msg.find("row 3"), std::string::npos) << msg;
+      } else {
+        expect_bit_identical(want[i], futures[i].get().logits);
+      }
+    }
+    runtime.stop();
+    EXPECT_EQ(runtime.stats().requests, trace.size() - 1);
   }
 }
 

@@ -6,6 +6,7 @@
 #include "dnn/activations.hpp"
 #include "dnn/conv2d.hpp"
 #include "dnn/dense.hpp"
+#include "dnn/network.hpp"
 #include "dnn/pooling.hpp"
 #include "dnn/reshape.hpp"
 #include "numerics/rng.hpp"
@@ -202,6 +203,50 @@ TEST(FlattenLayer, RoundTrip) {
   EXPECT_EQ(y.shape(), (Shape{2, 60}));
   const Tensor gx = flat.backward(y);
   EXPECT_EQ(gx.shape(), (Shape{2, 3, 4, 5}));
+}
+
+// Layers hold a pointer to their network's quantization spec: a moved
+// network's layers must follow the destination's spec, not the moved-from
+// object's.
+Network small_mlp() {
+  Rng rng(9);
+  Network net;
+  net.emplace<Dense>(6, 5, rng);
+  net.emplace<ReLU>();
+  net.emplace<Dense>(5, 3, rng);
+  return net;
+}
+
+bool same_values(const Tensor& a, const Tensor& b) {
+  if (a.shape() != b.shape()) return false;
+  for (std::size_t i = 0; i < a.numel(); ++i) {
+    if (a[i] != b[i]) return false;
+  }
+  return true;
+}
+
+TEST(NetworkMove, LayersFollowTheDestinationQuantization) {
+  Tensor x({2, 6});
+  for (std::size_t i = 0; i < x.numel(); ++i) x[i] = 0.1F * static_cast<float>(i) - 0.5F;
+  const QuantizationSpec two_bit{2, 0};
+
+  Network float_net = small_mlp();
+  const Tensor want_float = float_net.forward(x);
+  Network source = small_mlp();
+  source.set_quantization(two_bit);
+  const Tensor want_qat = source.forward(x);
+  ASSERT_FALSE(same_values(want_float, want_qat));
+
+  Network moved(std::move(source));
+  EXPECT_TRUE(same_values(moved.forward(x), want_qat));
+  moved.set_quantization({});
+  EXPECT_TRUE(same_values(moved.forward(x), want_float));
+
+  Network assigned = small_mlp();
+  assigned = std::move(moved);
+  EXPECT_TRUE(same_values(assigned.forward(x), want_float));
+  assigned.set_quantization(two_bit);
+  EXPECT_TRUE(same_values(assigned.forward(x), want_qat));
 }
 
 }  // namespace

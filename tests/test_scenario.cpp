@@ -129,6 +129,47 @@ TEST(Scenario, ExtensionSectionsAdmittedAndReadable) {
   sweep.finish();
 }
 
+// Hostile expressions: nesting is bounded (a stack overflow is a crash, not
+// an error), the error reaches the document layer with its file:line, and a
+// long flat expression parses in linear time.
+TEST(ScenarioExpression, DeepParenthesesAreRejectedWithFileAndLine) {
+  const auto nested = [](std::size_t depth) {
+    return std::string(depth, '(') + "5" + std::string(depth, ')');
+  };
+  EXPECT_EQ(scenario::eval_expression(nested(256)), 5.0);
+  EXPECT_THROW((void)scenario::eval_expression(nested(257)), std::invalid_argument);
+  const std::string msg = thrown_message(
+      [&] { (void)parse_text("[serving]\nworkers = " + nested(300000) + "\n"); });
+  EXPECT_NE(msg.find("nesting deeper than 256"), std::string::npos) << msg.substr(0, 300);
+  EXPECT_NE(msg.find("[serving].workers"), std::string::npos) << msg.substr(0, 300);
+  EXPECT_NE(msg.find("mem://test.ini:2"), std::string::npos) << msg.substr(0, 300);
+  EXPECT_LT(msg.size(), 400U);  // The expression is quoted, not copied whole.
+}
+
+TEST(ScenarioExpression, DeepUnaryChainsAreBounded) {
+  EXPECT_EQ(scenario::eval_expression(std::string(256, '-') + "5"), 5.0);
+  EXPECT_EQ(scenario::eval_expression(std::string(255, '-') + "5"), -5.0);
+  EXPECT_THROW((void)scenario::eval_expression(std::string(257, '-') + "5"),
+               std::invalid_argument);
+  std::string mixed;
+  for (int i = 0; i < 150000; ++i) mixed += "+-";
+  EXPECT_THROW((void)scenario::eval_expression(mixed + "5"), std::invalid_argument);
+  EXPECT_THROW((void)parse_text("[serving]\nworkers = " + mixed + "2\n"),
+               std::invalid_argument);
+}
+
+TEST(ScenarioExpression, LongFlatSumParsesInLinearTime) {
+  std::string sum = "1";
+  for (int i = 0; i < 200000; ++i) sum += " + 1";
+  EXPECT_EQ(scenario::eval_expression(sum), 200001.0);
+  // Literals end where their own characters do: exponent signs stay in the
+  // number, hex literals never take a sign.
+  EXPECT_DOUBLE_EQ(scenario::eval_expression("1e+2+2e-1"), 100.2);
+  EXPECT_EQ(scenario::eval_expression("0xE-1"), 13.0);
+  EXPECT_EQ(scenario::eval_expression("3-2"), 1.0);
+  EXPECT_THROW((void)scenario::eval_expression("1e+"), std::invalid_argument);
+}
+
 TEST(Scenario, CyclicIncludeNamesTheChain) {
   namespace fs = std::filesystem;
   const fs::path dir = fs::temp_directory_path() / "xl_scenario_cycle_test";
