@@ -295,52 +295,60 @@ void BM_KernelAbsMax_Dispatch(benchmark::State& state) {
 BENCHMARK(BM_KernelAbsMax_Scalar)->Arg(4096);
 BENCHMARK(BM_KernelAbsMax_Dispatch)->Arg(4096);
 
-void bench_kernel_arm_diag(benchmark::State& state,
-                           const numerics::kernels::KernelTable& kt) {
-  const auto len = static_cast<std::size_t>(state.range(0));
-  numerics::Rng rng(13);
-  const auto a = random_vector(len, rng, 0.0, 1.0);
-  const auto detune = random_vector(len, rng, 0.0, 0.2);
-  const auto dsq = random_vector(len, rng, 1e-4, 2e-2);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        kt.arm_sum_diag(a.data(), detune.data(), dsq.data(), 0.968, len));
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(len));
+std::vector<unsigned char> random_selects(std::size_t n, numerics::Rng& rng) {
+  std::vector<unsigned char> sel(n);
+  for (auto& s : sel) s = rng.bernoulli(0.5) ? 1 : 0;
+  return sel;
 }
-void BM_KernelArmSumDiag_Scalar(benchmark::State& state) {
-  bench_kernel_arm_diag(state, numerics::kernels::scalar_table());
-}
-void BM_KernelArmSumDiag_Dispatch(benchmark::State& state) {
-  bench_kernel_arm_diag(state, numerics::kernels::active_table());
-}
-BENCHMARK(BM_KernelArmSumDiag_Scalar)->Arg(1024);
-BENCHMARK(BM_KernelArmSumDiag_Dispatch)->Arg(1024);
 
-void bench_kernel_arm_xtalk(benchmark::State& state,
-                            const numerics::kernels::KernelTable& kt) {
+void bench_kernel_d_row_xtalk(benchmark::State& state,
+                              const numerics::kernels::KernelTable& kt) {
   const auto len = static_cast<std::size_t>(state.range(0));
   numerics::Rng rng(14);
-  const auto a = random_vector(len, rng, 0.1, 1.0);  // dense: no zero skips
-  const auto detune = random_vector(len, rng, 0.0, 0.2);
-  const auto dsq = random_vector(len, rng, 1e-4, 2e-2);
-  const auto sep = random_vector(len * len, rng, -3.0, 3.0);
+  const auto carry = random_vector(len * len, rng, 0.2, 1.0);
+  const auto idle = random_vector(len * len, rng, 0.2, 1.0);
+  const auto sel = random_selects(len, rng);
+  std::vector<double> d(len);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(kt.arm_sum_xtalk(a.data(), detune.data(),
-                                              sep.data(), len, dsq.data(),
-                                              0.968, len));
+    kt.d_row_xtalk(sel.data(), carry.data(), idle.data(), len, d.data());
+    benchmark::DoNotOptimize(d.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(len * len));
 }
-void BM_KernelArmSumXtalk_Scalar(benchmark::State& state) {
-  bench_kernel_arm_xtalk(state, numerics::kernels::scalar_table());
+void BM_KernelDRowXtalk_Scalar(benchmark::State& state) {
+  bench_kernel_d_row_xtalk(state, numerics::kernels::scalar_table());
 }
-void BM_KernelArmSumXtalk_Dispatch(benchmark::State& state) {
-  bench_kernel_arm_xtalk(state, numerics::kernels::active_table());
+void BM_KernelDRowXtalk_Dispatch(benchmark::State& state) {
+  bench_kernel_d_row_xtalk(state, numerics::kernels::active_table());
 }
-BENCHMARK(BM_KernelArmSumXtalk_Scalar)->Arg(64);
-BENCHMARK(BM_KernelArmSumXtalk_Dispatch)->Arg(64);
+BENCHMARK(BM_KernelDRowXtalk_Scalar)->Arg(15);
+BENCHMARK(BM_KernelDRowXtalk_Dispatch)->Arg(15);
+
+void bench_kernel_d_row_diag(benchmark::State& state,
+                             const numerics::kernels::KernelTable& kt) {
+  const auto len = static_cast<std::size_t>(state.range(0));
+  numerics::Rng rng(13);
+  const auto carry = random_vector(len, rng, 0.2, 1.0);
+  const auto idle = random_vector(len, rng, 0.2, 1.0);
+  const auto sel = random_selects(len, rng);
+  std::vector<double> d(len);
+  for (auto _ : state) {
+    kt.d_row_diag(sel.data(), carry.data(), idle.data(), len, d.data());
+    benchmark::DoNotOptimize(d.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(len));
+}
+void BM_KernelDRowDiag_Scalar(benchmark::State& state) {
+  bench_kernel_d_row_diag(state, numerics::kernels::scalar_table());
+}
+void BM_KernelDRowDiag_Dispatch(benchmark::State& state) {
+  bench_kernel_d_row_diag(state, numerics::kernels::active_table());
+}
+BENCHMARK(BM_KernelDRowDiag_Scalar)->Arg(15);
+BENCHMARK(BM_KernelDRowDiag_Dispatch)->Arg(15);
 
 void bench_kernel_hash_gaussian_n(benchmark::State& state,
                                   const numerics::kernels::KernelTable& kt) {

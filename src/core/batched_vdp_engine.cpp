@@ -1,7 +1,6 @@
 #include "core/batched_vdp_engine.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <stdexcept>
 #include <vector>
@@ -52,176 +51,71 @@ numerics::Matrix BatchedVdpEngine::photonic_matmul(const numerics::Matrix& x,
   numerics::Matrix y(batch, outputs);
   if (batch == 0 || outputs == 0) return y;
 
-  stats_.matmuls += 1;
-  stats_.dot_products += batch * outputs;
-  stats_.macs += batch * outputs * k;
-  stats_.max_batch_rows = std::max(stats_.max_batch_rows, batch);
-  if (k == 0) return y;
-
-  const auto& lut = sim_.lut();
-  const auto& quant = lut.quantizer();
-  const std::size_t bank = lut.bank_size();
-  // The effect pipeline renders thermal/FPV drifts, PD noise, and the
-  // crosstalk flag once per matmul; every tile reads the same frozen view.
-  const bool crosstalk = sim_.effects().crosstalk();
-  const xl::photonics::VdpEffects* fx = sim_.effects().vdp_effects();
-
-  // DAC row normalization, once per row instead of once per output element.
-  const numerics::Vector sx = numerics::row_abs_max(x);
-  const numerics::Vector sw = numerics::row_abs_max(w);
-
-  // Activation-side tables, once per (sample, element): quantized magnitude
-  // and the sign bit that is folded into the weight at pair time.
-  std::vector<double> a_mag(batch * k);
-  std::vector<unsigned char> x_neg(batch * k);
-  for (std::size_t b = 0; b < batch; ++b) {
-    if (sx[b] == 0.0) continue;  // Row contributes exact zeros.
-    const std::span<const double> row = x.row(b);
-    for (std::size_t i = 0; i < k; ++i) {
-      a_mag[b * k + i] = lut.quantize_magnitude(std::abs(row[i]) / sx[b]);
-      x_neg[b * k + i] = row[i] < 0.0 ? 1 : 0;
-    }
-  }
-
-  // Weight-side tables, once per (output, element): imprint detuning via the
-  // per-code LUT, plus the weight sign for the balanced-PD arm split.
-  std::vector<double> w_det(outputs * k);
-  std::vector<unsigned char> w_neg(outputs * k);
-  std::vector<unsigned char> w_zero(outputs * k);
-  for (std::size_t o = 0; o < outputs; ++o) {
-    if (sw[o] == 0.0) continue;
-    const std::span<const double> row = w.row(o);
-    for (std::size_t i = 0; i < k; ++i) {
-      const double wv = row[i];
-      w_det[o * k + i] =
-          lut.detune_for_code(i % bank, quant.encode(std::abs(wv) / sw[o]));
-      w_neg[o * k + i] = wv < 0.0 ? 1 : 0;
-      w_zero[o * k + i] = wv == 0.0 ? 1 : 0;
-    }
-  }
-
-  const std::size_t row_tiles = (batch + kTile - 1) / kTile;
-  const std::size_t col_tiles = (outputs + kTile - 1) / kTile;
-
-  // One flattened (batch-tile, output-tile) pair per work item. Tiles write
-  // disjoint y blocks and PD noise is operand-keyed, so execution order and
-  // placement are bit-free.
-  const auto run_pair_tile = [&](std::size_t f,
-                                 xl::photonics::VdpScratch& scratch,
-                                 unsigned char* neg) {
-    const std::size_t b0 = (f / col_tiles) * kTile;
-    const std::size_t b1 = std::min(batch, b0 + kTile);
-    const std::size_t o0 = (f % col_tiles) * kTile;
-    const std::size_t o1 = std::min(outputs, o0 + kTile);
-    for (std::size_t b = b0; b < b1; ++b) {
-      if (sx[b] == 0.0) continue;  // y row already zero.
-      const double* a_row = a_mag.data() + b * k;
-      const unsigned char* xs = x_neg.data() + b * k;
-      for (std::size_t o = o0; o < o1; ++o) {
-        if (sw[o] == 0.0) continue;
-        const double* det_row = w_det.data() + o * k;
-        const unsigned char* ws = w_neg.data() + o * k;
-        const unsigned char* wz = w_zero.data() + o * k;
-        // Fold the activation sign into the weight: the folded weight is
-        // negative iff signs differ and the weight is nonzero (a zero
-        // weight lands on the positive arm, as in the scalar path).
-        for (std::size_t i = 0; i < k; ++i) {
-          neg[i] = static_cast<unsigned char>(!wz[i] && (ws[i] != xs[i]));
-        }
-        y(b, o) = lut.vdp_dot({a_row, k}, {det_row, k}, {neg, k}, crosstalk,
-                              scratch, fx) *
-                  sx[b] * sw[o];
-      }
-    }
-  };
-
-  auto& pool = thread_pool();  // Sized before the region; hot loop never grows it.
-  exec::parallel_for(0, row_tiles * col_tiles, 1,
-                     [&](std::size_t f0, std::size_t f1, std::size_t lane) {
-                       ThreadScratch& ts = *pool[lane];
-                       if (ts.neg.size() < k) ts.neg.resize(k);
-                       for (std::size_t f = f0; f < f1; ++f) {
-                         run_pair_tile(f, ts.scratch, ts.neg.data());
-                       }
-                     });
+  // Pack, then run the planned implementation on a fresh table cache.
+  const PackedGemmWeights packed = pack(w.row(0).data(), outputs, k);
+  const std::size_t te = gemm_table_elems(k);
+  numerics::Arena arena(matmul_workspace_bytes(batch, k) +
+                        round64((outputs + 1) * te * sizeof(double)) + 64);
+  GemmTableCache tables;
+  tables.carry = arena.make_span<double>(outputs * te);
+  tables.idle = arena.make_span<double>(te);
+  gemm(x.row(0).data(), batch, k, packed, &y(0, 0), arena, tables);
   return y;
 }
 
 PackedGemmWeights BatchedVdpEngine::pack_weights(const float* w, std::size_t outputs,
                                                  std::size_t k) const {
-  // Round-trip through a double Matrix so the scale pass runs the exact
-  // row_abs_max kernel the Matrix overload uses (float -> double conversion
-  // is exact, so the packed tables carry the same bytes).
-  numerics::Matrix w_m(outputs, k);
-  for (std::size_t o = 0; o < outputs; ++o) {
-    for (std::size_t i = 0; i < k; ++i) {
-      w_m(o, i) = static_cast<double>(w[o * k + i]);
-    }
-  }
+  return pack(w, outputs, k);
+}
 
+template <class T>
+PackedGemmWeights BatchedVdpEngine::pack(const T* w, std::size_t outputs,
+                                         std::size_t k) const {
+  const auto& lut = sim_.lut();
+  const std::size_t nchunks = lut.chunks(k);
   PackedGemmWeights packed;
   packed.outputs = outputs;
   packed.k = k;
-  packed.sw = numerics::row_abs_max(w_m);
+  packed.sw = numerics::Vector(outputs);
   packed.det.resize(outputs * k);
   packed.neg.resize(outputs * k);
   packed.zero.resize(outputs * k);
-
-  const auto& lut = sim_.lut();
-  const auto& quant = lut.quantizer();
-  const std::size_t bank = lut.bank_size();
+  packed.key.resize(outputs * nchunks);
   for (std::size_t o = 0; o < outputs; ++o) {
-    if (packed.sw[o] == 0.0) continue;  // Row contributes exact zeros.
-    const std::span<const double> row = w_m.row(o);
-    for (std::size_t i = 0; i < k; ++i) {
-      const double wv = row[i];
-      packed.det[o * k + i] =
-          lut.detune_for_code(i % bank, quant.encode(std::abs(wv) / packed.sw[o]));
-      packed.neg[o * k + i] = wv < 0.0 ? 1 : 0;
-      packed.zero[o * k + i] = wv == 0.0 ? 1 : 0;
-    }
+    packed.sw[o] = lut.pack_weight_row(
+        w + o * k, k, packed.det.data() + o * k, packed.neg.data() + o * k,
+        packed.zero.data() + o * k, packed.key.data() + o * nchunks);
   }
   return packed;
 }
 
 std::size_t BatchedVdpEngine::matmul_workspace_bytes(std::size_t batch,
                                                      std::size_t k) const {
-  return round64(batch * sizeof(double)) +             // sx
-         round64(batch * k * sizeof(double)) +         // a_mag
-         round64(batch * k * sizeof(unsigned char));   // x_neg
+  const std::size_t nchunks = sim_.lut().chunks(k);
+  return round64(batch * sizeof(double)) +                    // sx
+         round64(batch * k * sizeof(double)) +                // a_mag
+         round64(batch * k * sizeof(unsigned char)) +         // x_neg
+         round64(batch * nchunks * sizeof(unsigned char)) +   // x_mixed
+         round64(batch * nchunks * sizeof(std::uint64_t));    // x_key
 }
 
 std::size_t BatchedVdpEngine::gemm_table_elems(std::size_t k) const {
-  return sim_.lut().arm_table_elems(k, sim_.effects().crosstalk());
+  return sim_.lut().arm_table_elems(k, sim_.effects().crosstalk()) + k;
 }
 
-std::vector<std::unique_ptr<BatchedVdpEngine::ThreadScratch>>&
+std::vector<std::unique_ptr<xl::photonics::VdpScratch>>&
 BatchedVdpEngine::thread_pool() {
   // One scratch entry per executor lane that can run tiles (lane ids are
   // always < width()).
   const std::size_t want = exec::width();
   while (thread_scratch_.size() < want) {
-    thread_scratch_.push_back(std::make_unique<ThreadScratch>());
+    thread_scratch_.push_back(std::make_unique<xl::photonics::VdpScratch>());
   }
   return thread_scratch_;
 }
 
 void BatchedVdpEngine::warm_thread_scratch(std::size_t max_k) {
-  const std::size_t bank = sim_.lut().bank_size();
-  const std::size_t chunks = bank == 0 ? 0 : (max_k + bank - 1) / bank;
-  for (auto& entry : thread_pool()) {
-    if (entry->neg.size() < max_k) entry->neg.resize(max_k);
-    auto& s = entry->scratch;
-    if (s.detune_pos.size() < bank) {
-      s.detune_pos.resize(bank);
-      s.detune_neg.resize(bank);
-    }
-    if (s.partial.size() < chunks) {
-      s.partial.resize(chunks);
-      s.noise_key.resize(chunks);
-      s.noise_draw.resize(chunks);
-    }
-  }
+  for (auto& entry : thread_pool()) sim_.lut().fit_scratch(*entry, max_k);
 }
 
 void BatchedVdpEngine::photonic_matmul(const float* x, std::size_t batch,
@@ -231,9 +125,15 @@ void BatchedVdpEngine::photonic_matmul(const float* x, std::size_t batch,
   if (w.k != k) {
     throw std::invalid_argument("BatchedVdpEngine::photonic_matmul: K mismatch");
   }
+  gemm(x, batch, k, w, y, workspace, tables);
+}
+
+template <class T>
+void BatchedVdpEngine::gemm(const T* x, std::size_t batch, std::size_t k,
+                            const PackedGemmWeights& w, double* y,
+                            numerics::Arena& workspace, GemmTableCache& tables) {
   const std::size_t outputs = w.outputs;
-  // Mirrors the Matrix overload's zero-initialized result: skipped rows and
-  // columns stay exact zeros.
+  // Skipped rows and columns stay exact zeros.
   std::fill(y, y + batch * outputs, 0.0);
   if (batch == 0 || outputs == 0) return;
 
@@ -244,43 +144,42 @@ void BatchedVdpEngine::photonic_matmul(const float* x, std::size_t batch,
   if (k == 0) return;
 
   const auto& lut = sim_.lut();
+  // The effect pipeline renders thermal/FPV drifts, PD noise, and the
+  // crosstalk flag once per matmul; every tile reads the same frozen view.
   const bool crosstalk = sim_.effects().crosstalk();
   const xl::photonics::VdpEffects* fx = sim_.effects().vdp_effects();
+  const bool noisy = fx != nullptr && fx->active() && fx->noise_std > 0.0;
+  const std::size_t nchunks = lut.chunks(k);
 
-  // Activation-side tables live in the caller's arena for the duration of
-  // this call only; rewinding keeps the arena's steady-state usage flat.
+  // Activation-side tables, once per (sample, element) and per (sample,
+  // chunk), live in the caller's arena for the duration of this call only;
+  // rewinding keeps the arena's steady-state usage flat.
   const numerics::Arena::Marker marker = workspace.mark();
   const std::span<double> sx = workspace.make_span<double>(batch);
   const std::span<double> a_mag = workspace.make_span<double>(batch * k);
   const std::span<unsigned char> x_neg = workspace.make_span<unsigned char>(batch * k);
+  const std::span<unsigned char> x_mixed =
+      workspace.make_span<unsigned char>(batch * nchunks);
+  const std::span<std::uint64_t> x_key =
+      workspace.make_span<std::uint64_t>(batch * nchunks);
   for (std::size_t b = 0; b < batch; ++b) {
-    const float* row = x + b * k;
-    // Scalar max of |double(float)| equals the row_abs_max kernel on the
-    // converted row: float -> double is exact and max is order-free.
-    double m = 0.0;
-    for (std::size_t i = 0; i < k; ++i) {
-      m = std::max(m, std::abs(static_cast<double>(row[i])));
-    }
-    sx[b] = m;
-    if (m == 0.0) continue;  // Row contributes exact zeros (tables unread).
-    for (std::size_t i = 0; i < k; ++i) {
-      const double v = static_cast<double>(row[i]);
-      a_mag[b * k + i] = lut.quantize_magnitude(std::abs(v) / m);
-      x_neg[b * k + i] = v < 0.0 ? 1 : 0;
-    }
+    // A zero row contributes exact zeros; its tables stay unread.
+    sx[b] = lut.pack_activation_row(x + b * k, k, a_mag.data() + b * k,
+                                    x_neg.data() + b * k,
+                                    x_mixed.data() + b * nchunks,
+                                    noisy ? x_key.data() + b * nchunks : nullptr);
   }
 
-  // Cached arm-transmission tables: every ring's two achievable operating
-  // points under the frozen effect frame (carrying its imprint detuning vs
-  // parked idle). They depend on the weight rows and the drift frame only —
-  // not on the activations — and a rendered frame is a pure function of the
-  // pipeline's simulated time, so the cache revalidates by time stamp:
-  // static pipelines stamp 0.0 and hit forever; time-dependent ones rebuild
-  // exactly when the frame has actually moved. In serving steady state
-  // (reset_effects per micro-batch) every layer re-runs at the time it was
-  // first seen at, so the Lorentzian division pass runs once per plan
-  // lifetime instead of (outputs + 1) times per GEMM call.
-  const std::size_t te = lut.arm_table_elems(k, crosstalk);
+  // Cached tables: every ring's two achievable operating points under the
+  // frozen effect frame (carrying its imprint detuning vs parked idle), and
+  // each output's sign-free D row, the Eq. 8 crosstalk products. They
+  // depend on the weight rows and the drift frame only — not on the
+  // activations — and a rendered frame is a pure function of the pipeline's
+  // simulated time, so the cache revalidates by time stamp: static
+  // pipelines stamp 0.0 and hit forever; time-dependent ones rebuild
+  // exactly when the frame has actually moved.
+  const std::size_t arm = lut.arm_table_elems(k, crosstalk);
+  const std::size_t te = arm + k;
   if (tables.idle.size() != te || tables.carry.size() != outputs * te) {
     throw std::invalid_argument(
         "BatchedVdpEngine::photonic_matmul: GemmTableCache sized for a "
@@ -290,78 +189,96 @@ void BatchedVdpEngine::photonic_matmul(const float* x, std::size_t batch,
       sim_.effects().time_dependent() ? sim_.effects().time_us() : 0.0;
   const bool rebuild_tables = tables.stamp != frame_stamp;
   const double* idle = tables.idle.data();
-  const double* carry = tables.carry.data();
+  double* carry = tables.carry.data();
   if (rebuild_tables) {
     lut.build_idle_table(k, crosstalk, fx, tables.idle.data());
+    // parallel_for's return is the barrier: every carry row happens-before
+    // the pair loop below on every lane. Rows are disjoint, so any
+    // partition is bit-free.
+    exec::parallel_for(0, outputs, 0,
+                       [&](std::size_t o0, std::size_t o1, std::size_t) {
+                         for (std::size_t o = o0; o < o1; ++o) {
+                           if (w.sw[o] == 0.0) continue;  // Never read.
+                           double* row = carry + o * te;
+                           lut.build_carry_table({w.det.data() + o * k, k},
+                                                 crosstalk, fx, row);
+                           lut.build_d_row(w.neg.data() + o * k, k, crosstalk,
+                                           row, idle, row + arm);
+                         }
+                       });
   }
 
   const std::size_t row_tiles = (batch + kTile - 1) / kTile;
   const std::size_t col_tiles = (outputs + kTile - 1) / kTile;
 
-  // The scratch pool is sized serially, before the parallel region, so the
-  // hot loop never touches the pool vector itself.
-  auto& pool = thread_pool();
-
-  // Carry-table rebuild, one output row per iteration. Rows are disjoint, so
-  // any partition is bit-free.
-  const auto rebuild_carry_row = [&](std::size_t o) {
-    if (w.sw[o] == 0.0) return;  // Row skipped by the pair loop too.
-    lut.build_carry_table({w.det.data() + o * k, k}, crosstalk, fx,
-                          tables.carry.data() + o * te);
-  };
   // One flattened (batch-tile, output-tile) pair per work item, output-major
-  // within the tile: output o's carry table is read once and stays cache-hot
+  // within the tile: output o's tables are read once and stay cache-hot
   // across every batch row (pairs are independent, noise is operand-keyed —
   // iteration order and placement are bit-free).
-  const auto run_pair_tile = [&](std::size_t f, ThreadScratch& ts) {
-    xl::photonics::VdpScratch& scratch = ts.scratch;
-    unsigned char* neg = ts.neg.data();
+  const auto run_pair_tile = [&](std::size_t f, xl::photonics::VdpScratch& scratch) {
     const std::size_t b0 = (f / col_tiles) * kTile;
     const std::size_t b1 = std::min(batch, b0 + kTile);
     const std::size_t o0 = (f % col_tiles) * kTile;
     const std::size_t o1 = std::min(outputs, o0 + kTile);
     for (std::size_t o = o0; o < o1; ++o) {
       if (w.sw[o] == 0.0) continue;
-      const double* det_row = w.det.data() + o * k;
-      const unsigned char* ws = w.neg.data() + o * k;
-      const unsigned char* wz = w.zero.data() + o * k;
-      const double* carry_o = carry + o * te;
+      const xl::photonics::VdpWeightRow wrow{
+          w.neg.data() + o * k, w.zero.data() + o * k,
+          w.key.data() + o * nchunks, carry + o * te, carry + o * te + arm};
       for (std::size_t b = b0; b < b1; ++b) {
         if (sx[b] == 0.0) continue;  // y row already zero.
-        const double* a_row = a_mag.data() + b * k;
-        const unsigned char* xs = x_neg.data() + b * k;
-        // Fold the activation sign into the weight, exactly as the
-        // Matrix overload does.
-        for (std::size_t i = 0; i < k; ++i) {
-          neg[i] = static_cast<unsigned char>(!wz[i] && (ws[i] != xs[i]));
-        }
+        const xl::photonics::VdpActivationRow xrow{
+            a_mag.data() + b * k, x_neg.data() + b * k,
+            x_mixed.data() + b * nchunks, x_key.data() + b * nchunks};
         y[b * outputs + o] =
-            lut.vdp_dot_tbl({a_row, k}, {det_row, k}, {neg, k}, crosstalk,
-                            scratch, fx, carry_o, idle) *
+            lut.vdp_output(xrow, wrow, k, idle, crosstalk, fx, scratch) *
             sx[b] * w.sw[o];
       }
     }
   };
 
-  if (rebuild_tables) {
-    // parallel_for's return is the barrier: every carry row happens-before
-    // the pair loop below on every lane.
-    exec::parallel_for(0, outputs, 0,
-                       [&](std::size_t o0, std::size_t o1, std::size_t) {
-                         for (std::size_t o = o0; o < o1; ++o) {
-                           rebuild_carry_row(o);
-                         }
-                       });
-  }
+  // The scratch pool is sized serially, before the parallel region, so the
+  // hot loop never touches the pool vector itself.
+  auto& pool = thread_pool();
   exec::parallel_for(0, row_tiles * col_tiles, 1,
                      [&](std::size_t f0, std::size_t f1, std::size_t lane) {
-                       ThreadScratch& ts = *pool[lane];
-                       if (ts.neg.size() < k) ts.neg.resize(k);
+                       xl::photonics::VdpScratch& scratch = *pool[lane];
+                       lut.fit_scratch(scratch, k);
                        for (std::size_t f = f0; f < f1; ++f) {
-                         run_pair_tile(f, ts);
+                         run_pair_tile(f, scratch);
                        }
                      });
   if (rebuild_tables) tables.stamp = frame_stamp;
+
+  // Exact work counters, serially from shapes, sign patterns and the cache
+  // state, so they never depend on the partition.
+  const auto d_products = [&](std::size_t c) {
+    const std::size_t bank = lut.bank_size();
+    return xl::photonics::MrBankTransferLut::chunk_d_products(
+        std::min(bank, k - c * bank), crosstalk);
+  };
+  std::size_t live_rows = 0;
+  std::size_t mixed_products = 0;
+  for (std::size_t b = 0; b < batch; ++b) {
+    if (sx[b] == 0.0) continue;
+    live_rows += 1;
+    for (std::size_t c = 0; c < nchunks; ++c) {
+      if (x_mixed[b * nchunks + c]) mixed_products += d_products(c);
+    }
+  }
+  const auto live_outputs = static_cast<std::size_t>(
+      std::count_if(w.sw.data().begin(), w.sw.data().end(),
+                    [](double s) { return s != 0.0; }));
+  if (rebuild_tables) {
+    std::size_t row_products = 0;
+    for (std::size_t c = 0; c < nchunks; ++c) row_products += d_products(c);
+    stats_.table_rows_built += live_outputs;
+    stats_.transmission_products += live_outputs * row_products;
+  }
+  stats_.transmission_products += live_outputs * mixed_products;
+  if (noisy) {
+    stats_.noise_keys += live_rows * k + 2 * live_rows * live_outputs * nchunks;
+  }
   workspace.rewind(marker);
 }
 

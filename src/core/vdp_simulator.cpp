@@ -1,7 +1,7 @@
 #include "core/vdp_simulator.hpp"
 
-#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 
 #include "core/effect_pipeline.hpp"
@@ -29,6 +29,22 @@ xl::photonics::MrBankTransferLut make_lut(const VdpSimOptions& opts,
   xl::photonics::MicroringDesign defaults;  // For the default extinction ratio.
   return {grid, opts.q_factor, defaults.extinction_ratio_db, opts.resolution_bits};
 }
+
+/// Per-thread operand, table and chunk buffers of VdpSimulator::dot, grown
+/// to the largest length seen so repeated calls stop allocating. Every
+/// element a call reads is written by that call first.
+struct DotWorkspace {
+  std::vector<double> f64;
+  std::vector<unsigned char> u8;
+  std::vector<std::uint64_t> u64;
+  xl::photonics::VdpScratch scratch;
+
+  void fit(std::size_t doubles, std::size_t bytes, std::size_t keys) {
+    if (f64.size() < doubles) f64.resize(doubles);
+    if (u8.size() < bytes) u8.resize(bytes);
+    if (u64.size() < keys) u64.resize(keys);
+  }
+};
 
 const VdpSimOptions& validated(const VdpSimOptions& opts) {
   opts.validate();
@@ -58,35 +74,42 @@ double VdpSimulator::dot(std::span<const double> x, std::span<const double> w) c
   if (x.size() != w.size()) throw std::invalid_argument("VdpSimulator::dot: size mismatch");
   if (x.empty()) return 0.0;
 
-  // DAC pre-scaling: normalize both operands to [0, 1] magnitude. This is
-  // the only per-call analog setup; everything else is served by the LUT.
-  double sx = 0.0;
-  double sw = 0.0;
-  for (double v : x) sx = std::max(sx, std::abs(v));
-  for (double v : w) sw = std::max(sw, std::abs(v));
+  // One output of the shared chunked datapath: the same operand packing,
+  // table, D-row and partial code the batched engine runs per element. The
+  // packers normalize each operand by its max magnitude (DAC pre-scaling).
+  const std::size_t len = x.size();
+  const std::size_t chunks = lut_.chunks(len);
+  const bool crosstalk = effects_->crosstalk();
+  const xl::photonics::VdpEffects* fx = effects_->vdp_effects();
+  const bool noisy = fx != nullptr && fx->active() && fx->noise_std > 0.0;
+
+  const std::size_t arm = lut_.arm_table_elems(len, crosstalk);
+  thread_local DotWorkspace ws;
+  ws.fit(3 * len + 2 * arm, 3 * len + chunks, 2 * chunks);
+  double* a = ws.f64.data();
+  double* det = a + len;
+  double* idle = det + len;
+  double* carry = idle + arm;  // Carry table, then the D row.
+  unsigned char* x_neg = ws.u8.data();
+  unsigned char* w_neg = x_neg + len;
+  unsigned char* w_zero = w_neg + len;
+  unsigned char* mixed = w_zero + len;
+  std::uint64_t* x_key = ws.u64.data();
+  std::uint64_t* w_key = x_key + chunks;
+  const double sx = lut_.pack_activation_row(x.data(), len, a, x_neg, mixed,
+                                             noisy ? x_key : nullptr);
+  const double sw = lut_.pack_weight_row(w.data(), len, det, w_neg, w_zero, w_key);
   if (sx == 0.0 || sw == 0.0) return 0.0;
 
-  const std::size_t len = x.size();
-  const std::size_t bank = lut_.bank_size();
-  const auto& quant = lut_.quantizer();
+  lut_.build_idle_table(len, crosstalk, fx, idle);
+  lut_.build_carry_table({det, len}, crosstalk, fx, carry);
+  lut_.build_d_row(w_neg, len, crosstalk, carry, idle, carry + arm);
 
-  std::vector<double> a(len);
-  std::vector<double> detune(len);
-  std::vector<unsigned char> neg(len);
-  for (std::size_t i = 0; i < len; ++i) {
-    const double xv = x[i];
-    // Fold the activation sign into the weight, then split the signed weight
-    // across the positive and negative arms of the balanced detector.
-    const double wv = w[i] * (xv < 0.0 ? -1.0 : 1.0);
-    a[i] = lut_.quantize_magnitude(std::abs(xv) / sx);
-    detune[i] = lut_.detune_for_code(i % bank, quant.encode(std::abs(wv) / sw));
-    neg[i] = wv < 0.0 ? 1 : 0;
-  }
-
-  xl::photonics::VdpScratch scratch;
-  return lut_.vdp_dot(a, detune, neg, effects_->crosstalk(), scratch,
-                      effects_->vdp_effects()) *
-         sx * sw;
+  lut_.fit_scratch(ws.scratch, len);
+  const xl::photonics::VdpActivationRow xrow{a, x_neg, mixed, x_key};
+  const xl::photonics::VdpWeightRow wrow{w_neg, w_zero, w_key, carry, carry + arm};
+  return lut_.vdp_output(xrow, wrow, len, idle, crosstalk, fx, ws.scratch) * sx *
+         sw;
 }
 
 double VdpSimulator::absolute_error(std::span<const double> x,

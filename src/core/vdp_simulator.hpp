@@ -5,14 +5,14 @@
 // compute": activations and weights pass through quantizers, Lorentzian MR
 // transmissions, inter-channel crosstalk, and balanced photodetection.
 //
-// Since the batched-engine refactor, all Lorentzian constants, the
-// weight->detuning imprint inversion, and the Eq. 8 crosstalk row sums are
-// precomputed once at construction in a shared photonics::MrBankTransferLut;
-// dot() only normalizes its operands (a per-call property of the data, as in
-// the DAC scaling hardware) and drives the shared chunk kernel. The batched
-// GEMM path (core/batched_vdp_engine.hpp) runs the *same* kernel, so scalar
-// and batched results are bit-identical. Prefer BatchedVdpEngine for whole
-// layers; this class remains the per-dot-product reference.
+// All Lorentzian constants, the weight->detuning imprint inversion, and the
+// Eq. 8 crosstalk row sums are precomputed once at construction in a shared
+// photonics::MrBankTransferLut; dot() normalizes its operands (a per-call
+// property of the data, as in the DAC scaling hardware) and runs the LUT's
+// operand packing, table, D-row and partial code for one output. The
+// batched GEMM path (core/batched_vdp_engine.hpp) runs the *same* code, so
+// scalar and batched results are bit-identical. Prefer BatchedVdpEngine for
+// whole layers; this class remains the per-dot-product reference.
 #pragma once
 
 #include <cstdint>
@@ -68,8 +68,9 @@ class VdpSimulator {
 
   /// Compute dot(x, w) photonically. Inputs may be any sign/magnitude; the
   /// simulator normalizes per-call (as the DAC scaling hardware does),
-  /// splits signed weights across the positive/negative arms of the balanced
-  /// PD, processes ceil(len/bank) chunks, and accumulates partial sums.
+  /// routes each weight to the positive or negative arm of the balanced PD
+  /// by the product of signs, processes ceil(len/bank) chunks, and
+  /// accumulates requantized partial sums.
   [[nodiscard]] double dot(std::span<const double> x, std::span<const double> w) const;
 
   /// Exact reference for error measurement.

@@ -51,68 +51,26 @@ double abs_max_scalar(const double* v, std::size_t n) {
   return best;
 }
 
-double arm_sum_diag_scalar(const double* a, const double* detune,
-                           const double* delta_sq, double full,
-                           std::size_t len) {
-  double sum = 0.0;
+void d_row_xtalk_scalar(const unsigned char* sel, const double* carry,
+                        const double* idle, std::size_t len, double* d) {
   for (std::size_t i = 0; i < len; ++i) {
-    const double d = detune[i];
-    sum += a[i] * (1.0 - full * delta_sq[i] / (d * d + delta_sq[i]));
-  }
-  return sum;
-}
-
-double arm_sum_xtalk_scalar(const double* a, const double* detune,
-                            const double* sep, std::size_t sep_stride,
-                            const double* delta_sq, double full,
-                            std::size_t len) {
-  double sum = 0.0;
-  for (std::size_t i = 0; i < len; ++i) {
-    double power = a[i];
-    if (power == 0.0) continue;  // 0 * T == 0 for every finite T.
-    const double* sep_row = sep + i * sep_stride;
-    for (std::size_t j = 0; j < len; ++j) {
-      const double d = sep_row[j] + detune[j];  // lambda_i - (lambda_j - detune_j)
-      power *= 1.0 - full * delta_sq[j] / (d * d + delta_sq[j]);
-    }
-    sum += power;
-  }
-  return sum;
-}
-
-double arm_pair_diag_tbl_scalar(const double* a, const unsigned char* sel,
-                                const double* carry, const double* idle,
-                                std::size_t len) {
-  double pos = 0.0;
-  double neg = 0.0;
-  for (std::size_t i = 0; i < len; ++i) {
-    const double tp = sel[i] ? idle[i] : carry[i];
-    const double tn = sel[i] ? carry[i] : idle[i];
-    pos += a[i] * tp;
-    neg += a[i] * tn;
-  }
-  return pos - neg;
-}
-
-double arm_pair_xtalk_tbl_scalar(const double* a, const unsigned char* sel,
-                                 const double* carry, const double* idle,
-                                 std::size_t len) {
-  double pos = 0.0;
-  double neg = 0.0;
-  for (std::size_t i = 0; i < len; ++i) {
-    double pp = a[i];
-    if (pp == 0.0) continue;  // 0 * T == 0 for every finite T.
-    double pn = pp;
-    for (std::size_t j = 0; j < len; ++j) {
+    double p = sel[0] ? idle[i] : carry[i];
+    double n = sel[0] ? carry[i] : idle[i];
+    for (std::size_t j = 1; j < len; ++j) {
       const double c = carry[j * len + i];
-      const double d = idle[j * len + i];
-      pp *= sel[j] ? d : c;
-      pn *= sel[j] ? c : d;
+      const double t = idle[j * len + i];
+      p *= sel[j] ? t : c;
+      n *= sel[j] ? c : t;
     }
-    pos += pp;
-    neg += pn;
+    d[i] = p - n;
   }
-  return pos - neg;
+}
+
+void d_row_diag_scalar(const unsigned char* sel, const double* carry,
+                       const double* idle, std::size_t len, double* d) {
+  for (std::size_t i = 0; i < len; ++i) {
+    d[i] = sel[i] ? idle[i] - carry[i] : carry[i] - idle[i];
+  }
 }
 
 void hash_gaussian_keys_scalar(const std::uint64_t* keys, std::size_t n,
@@ -129,9 +87,8 @@ void hash_gaussian_n_scalar(std::uint64_t key, std::uint64_t base_counter,
 }
 
 constexpr KernelTable kScalarTable = {
-    gemm_row_panels_scalar,   abs_max_scalar,
-    arm_sum_diag_scalar,      arm_sum_xtalk_scalar,
-    arm_pair_diag_tbl_scalar, arm_pair_xtalk_tbl_scalar,
+    gemm_row_panels_scalar,    abs_max_scalar,
+    d_row_xtalk_scalar,        d_row_diag_scalar,
     hash_gaussian_keys_scalar, hash_gaussian_n_scalar,
     "scalar",
 };

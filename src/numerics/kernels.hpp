@@ -1,6 +1,6 @@
-// Runtime-dispatched SIMD kernels for the three hot loops of every
-// functional evaluation: the tiled GEMM dot kernel, the Lorentzian VDP
-// transfer product, and the counter-keyed gaussian noise sampler.
+// Runtime-dispatched SIMD kernels for the hot loops of every functional
+// evaluation: the tiled GEMM dot kernel, the Lorentzian VDP transmission
+// products, and the counter-keyed gaussian noise sampler.
 //
 // Dispatch model
 // --------------
@@ -21,9 +21,8 @@
 //   * GEMM: each output element accumulates sequentially over k in lane j,
 //     with separate mul + add roundings (the AVX2 TU is compiled with
 //     -ffp-contract=off so mul/add never fuse into one-rounding FMA).
-//   * Lorentzian arm sums: lane = channel; the per-ring transmission product
-//     runs sequentially within the lane, and cross-lane sums into the
-//     accumulator happen in scalar index order after extraction.
+//   * Balanced-PD D rows: lane = channel; the per-ring transmission product
+//     runs sequentially within the lane.
 //   * hash_gaussian_n: integer mixing, the uint64->double conversion, and all
 //     elementwise arithmetic vectorize exactly (conversion and sqrt are
 //     correctly-rounded by IEEE); log/cos go through the scalar libm calls so
@@ -56,45 +55,22 @@ struct KernelTable {
   /// max_i |v[i]| (0 for n == 0). Exact for non-NaN input in any lane order.
   double (*abs_max)(const double* v, std::size_t n);
 
-  /// Lorentzian arm sum, on-channel ring only (no parasitic crosstalk):
-  ///   sum_i a[i] * (1 - full * delta_sq[i] / (detune[i]^2 + delta_sq[i]))
-  /// accumulated in index order.
-  double (*arm_sum_diag)(const double* a, const double* detune,
-                         const double* delta_sq, double full, std::size_t len);
+  /// Balanced-PD transmission differences of one bank chunk, crosstalk
+  /// model. Tables are column-major per ring: t[j*len + i] is ring j's
+  /// transmission at channel i when it carries the weight (`carry`) or sits
+  /// idle (`idle`); sel[j] says ring j's weight went to the negative arm.
+  ///   P_i = prod_j (sel[j] ? idle : carry)[j*len + i]
+  ///   N_i = prod_j (sel[j] ? carry : idle)[j*len + i]
+  ///   d[i] = P_i - N_i
+  /// Each product starts from the j = 0 factor and multiplies the rest in
+  /// ring order within channel i's lane.
+  void (*d_row_xtalk)(const unsigned char* sel, const double* carry,
+                      const double* idle, std::size_t len, double* d);
 
-  /// Lorentzian arm sum with crosstalk: every ring j attenuates channel i,
-  ///   power_i = a[i] * prod_j (1 - (full*delta_sq[j]) / (d_ij^2 + delta_sq[j]))
-  /// with d_ij = sep[i*sep_stride + j] + detune[j]; channels with a[i] == 0
-  /// are skipped (0 * T == 0), and the per-ring product runs sequentially
-  /// over j within channel i's lane. Summed over i in index order.
-  double (*arm_sum_xtalk)(const double* a, const double* detune,
-                          const double* sep, std::size_t sep_stride,
-                          const double* delta_sq, double full, std::size_t len);
-
-  /// Fused balanced-PD arm sums over precomputed ring transmissions, no
-  /// crosstalk. `carry[i]`/`idle[i]` hold ring i's transmission when it
-  /// carries the weight vs sits idle, each computed with arm_sum_diag's
-  /// exact expression; sel[i] says the weight went to the negative arm.
-  /// Returns pos - neg for
-  ///   pos = sum_i a[i] * (sel[i] ? idle[i] : carry[i])
-  ///   neg = sum_i a[i] * (sel[i] ? carry[i] : idle[i])
-  /// with both sums accumulated in index order — bit-identical to two
-  /// arm_sum_diag calls on the corresponding detune vectors, in one pass.
-  double (*arm_pair_diag_tbl)(const double* a, const unsigned char* sel,
-                              const double* carry, const double* idle,
-                              std::size_t len);
-
-  /// Fused arm sums with crosstalk. Tables are column-major per ring:
-  /// t[j*len + i] is ring j's transmission at channel i, sel[j] picks the
-  /// arm assignment for ring j (lane-uniform across channels):
-  ///   pos_i = a[i] * prod_j (sel[j] ? idle : carry)[j*len + i]
-  ///   neg_i = a[i] * prod_j (sel[j] ? carry : idle)[j*len + i]
-  /// Returns sum_i pos_i - sum_i neg_i with the same a[i] == 0 skip,
-  /// sequential per-channel j-products, and index-order sums as two
-  /// arm_sum_xtalk calls — one table pass instead of two.
-  double (*arm_pair_xtalk_tbl)(const double* a, const unsigned char* sel,
-                               const double* carry, const double* idle,
-                               std::size_t len);
+  /// Same difference without crosstalk (only the on-channel ring attenuates):
+  ///   d[i] = (sel[i] ? idle : carry)[i] - (sel[i] ? carry : idle)[i].
+  void (*d_row_diag)(const unsigned char* sel, const double* carry,
+                     const double* idle, std::size_t len, double* d);
 
   /// Bulk standard-normal draws from explicit keys:
   ///   out[i] == hash_gaussian(keys[i]) bit for bit.

@@ -102,177 +102,72 @@ double abs_max_avx2(const double* v, std::size_t n) {
   return best;
 }
 
-// --- Lorentzian arm sums ---------------------------------------------------
+// --- balanced-PD D rows ----------------------------------------------------
 
-void store4(double* buf, __m256d v) { _mm256_storeu_pd(buf, v); }
-
-double arm_sum_diag_avx2(const double* a, const double* detune,
-                         const double* delta_sq, double full,
-                         std::size_t len) {
-  const __m256d one = _mm256_set1_pd(1.0);
-  const __m256d fullv = _mm256_set1_pd(full);
-  double sum = 0.0;
-  double buf[4];
-  std::size_t i = 0;
-  for (; i + 4 <= len; i += 4) {
-    const __m256d d = _mm256_loadu_pd(detune + i);
-    const __m256d dsq = _mm256_loadu_pd(delta_sq + i);
-    // Lane i: a[i] * (1 - full*dsq[i] / (d*d + dsq[i])) — the exact scalar
-    // expression tree, one lane per channel.
-    const __m256d den = _mm256_add_pd(_mm256_mul_pd(d, d), dsq);
-    const __m256d q = _mm256_div_pd(_mm256_mul_pd(fullv, dsq), den);
-    const __m256d pr = _mm256_mul_pd(_mm256_loadu_pd(a + i), _mm256_sub_pd(one, q));
-    store4(buf, pr);
-    sum += buf[0];
-    sum += buf[1];
-    sum += buf[2];
-    sum += buf[3];
-  }
-  for (; i < len; ++i) {
-    const double d = detune[i];
-    sum += a[i] * (1.0 - full * delta_sq[i] / (d * d + delta_sq[i]));
-  }
-  return sum;
+/// Lane mask for the first `rem` (< 4) lanes of a ragged tail; masked lanes
+/// are neither read nor written by maskload/maskstore.
+inline __m256i tail_mask(std::size_t rem) {
+  const auto r = static_cast<long long>(rem);
+  return _mm256_set_epi64x(r > 3 ? -1 : 0, r > 2 ? -1 : 0, r > 1 ? -1 : 0,
+                           r > 0 ? -1 : 0);
 }
 
-double arm_sum_xtalk_avx2(const double* a, const double* detune,
-                          const double* sep, std::size_t sep_stride,
-                          const double* delta_sq, double full,
-                          std::size_t len) {
-  const __m256d one = _mm256_set1_pd(1.0);
-  double sum = 0.0;
-  double buf[4];
+/// Lanes = 4 channels starting at i0 (the first `mask` lanes valid). Ring j's
+/// column-major slice t[j*len + i0..] is a contiguous load and sel[j] is
+/// lane-uniform, so each lane runs the scalar product sequence exactly.
+inline void d_row_xtalk_lanes(const unsigned char* sel, const double* carry,
+                              const double* idle, std::size_t len,
+                              std::size_t i0, __m256i mask, double* d) {
+  __m256d c = _mm256_maskload_pd(carry + i0, mask);
+  __m256d t = _mm256_maskload_pd(idle + i0, mask);
+  __m256d p = sel[0] ? t : c;
+  __m256d n = sel[0] ? c : t;
+  for (std::size_t j = 1; j < len; ++j) {
+    c = _mm256_maskload_pd(carry + j * len + i0, mask);
+    t = _mm256_maskload_pd(idle + j * len + i0, mask);
+    if (sel[j]) {
+      p = _mm256_mul_pd(p, t);
+      n = _mm256_mul_pd(n, c);
+    } else {
+      p = _mm256_mul_pd(p, c);
+      n = _mm256_mul_pd(n, t);
+    }
+  }
+  _mm256_maskstore_pd(d + i0, mask, _mm256_sub_pd(p, n));
+}
+
+void d_row_xtalk_avx2(const unsigned char* sel, const double* carry,
+                      const double* idle, std::size_t len, double* d) {
+  const __m256i all = _mm256_set1_epi64x(-1);
   std::size_t i0 = 0;
   for (; i0 + 4 <= len; i0 += 4) {
-    // Lanes = 4 channels; each lane's per-ring transmission product runs
-    // sequentially over j, exactly as the scalar channel loop.
-    __m256d power = _mm256_loadu_pd(a + i0);
-    const double* r0 = sep + (i0 + 0) * sep_stride;
-    const double* r1 = sep + (i0 + 1) * sep_stride;
-    const double* r2 = sep + (i0 + 2) * sep_stride;
-    const double* r3 = sep + (i0 + 3) * sep_stride;
-    for (std::size_t j = 0; j < len; ++j) {
-      const __m256d sepv = _mm256_set_pd(r3[j], r2[j], r1[j], r0[j]);
-      const __m256d d = _mm256_add_pd(sepv, _mm256_broadcast_sd(detune + j));
-      // full * delta_sq[j] is lane-uniform: one scalar mul, same rounding as
-      // every scalar (i, j) evaluation of the same subexpression.
-      const __m256d num = _mm256_set1_pd(full * delta_sq[j]);
-      const __m256d den =
-          _mm256_add_pd(_mm256_mul_pd(d, d), _mm256_broadcast_sd(delta_sq + j));
-      power = _mm256_mul_pd(power,
-                            _mm256_sub_pd(one, _mm256_div_pd(num, den)));
-    }
-    store4(buf, power);
-    // Scalar index order, honoring the a[i] == 0 skip (the lane computed a
-    // harmless all-zero product; transmissions are finite so 0 * T == 0).
-    for (std::size_t lane = 0; lane < 4; ++lane) {
-      if (a[i0 + lane] != 0.0) sum += buf[lane];
-    }
+    d_row_xtalk_lanes(sel, carry, idle, len, i0, all, d);
   }
-  for (; i0 < len; ++i0) {
-    double power = a[i0];
-    if (power == 0.0) continue;
-    const double* sep_row = sep + i0 * sep_stride;
-    for (std::size_t j = 0; j < len; ++j) {
-      const double d = sep_row[j] + detune[j];
-      power *= 1.0 - full * delta_sq[j] / (d * d + delta_sq[j]);
-    }
-    sum += power;
+  if (i0 < len) {
+    d_row_xtalk_lanes(sel, carry, idle, len, i0, tail_mask(len - i0), d);
   }
-  return sum;
 }
 
-double arm_pair_diag_tbl_avx2(const double* a, const unsigned char* sel,
-                              const double* carry, const double* idle,
-                              std::size_t len) {
-  double pos = 0.0;
-  double neg = 0.0;
-  double bufp[4];
-  double bufn[4];
+void d_row_diag_avx2(const unsigned char* sel, const double* carry,
+                     const double* idle, std::size_t len, double* d) {
   std::size_t i = 0;
   for (; i + 4 <= len; i += 4) {
-    // Selects are resolved in scalar code; the lane arithmetic is the single
-    // mul the scalar loop performs on the identical table values.
-    const __m256d tp = _mm256_set_pd(sel[i + 3] ? idle[i + 3] : carry[i + 3],
-                                     sel[i + 2] ? idle[i + 2] : carry[i + 2],
-                                     sel[i + 1] ? idle[i + 1] : carry[i + 1],
-                                     sel[i + 0] ? idle[i + 0] : carry[i + 0]);
-    const __m256d tn = _mm256_set_pd(sel[i + 3] ? carry[i + 3] : idle[i + 3],
-                                     sel[i + 2] ? carry[i + 2] : idle[i + 2],
-                                     sel[i + 1] ? carry[i + 1] : idle[i + 1],
-                                     sel[i + 0] ? carry[i + 0] : idle[i + 0]);
-    const __m256d av = _mm256_loadu_pd(a + i);
-    store4(bufp, _mm256_mul_pd(av, tp));
-    store4(bufn, _mm256_mul_pd(av, tn));
-    pos += bufp[0];
-    pos += bufp[1];
-    pos += bufp[2];
-    pos += bufp[3];
-    neg += bufn[0];
-    neg += bufn[1];
-    neg += bufn[2];
-    neg += bufn[3];
+    const __m256d c = _mm256_loadu_pd(carry + i);
+    const __m256d t = _mm256_loadu_pd(idle + i);
+    const __m256d to_neg = _mm256_castsi256_pd(_mm256_set_epi64x(
+        sel[i + 3] ? -1 : 0, sel[i + 2] ? -1 : 0, sel[i + 1] ? -1 : 0,
+        sel[i + 0] ? -1 : 0));
+    _mm256_storeu_pd(d + i, _mm256_blendv_pd(_mm256_sub_pd(c, t),
+                                             _mm256_sub_pd(t, c), to_neg));
   }
   for (; i < len; ++i) {
-    pos += a[i] * (sel[i] ? idle[i] : carry[i]);
-    neg += a[i] * (sel[i] ? carry[i] : idle[i]);
+    d[i] = sel[i] ? idle[i] - carry[i] : carry[i] - idle[i];
   }
-  return pos - neg;
-}
-
-double arm_pair_xtalk_tbl_avx2(const double* a, const unsigned char* sel,
-                               const double* carry, const double* idle,
-                               std::size_t len) {
-  double pos = 0.0;
-  double neg = 0.0;
-  double bufp[4];
-  double bufn[4];
-  std::size_t i0 = 0;
-  for (; i0 + 4 <= len; i0 += 4) {
-    // Lanes = 4 channels; ring j's column-major table slice t[j*len + i0..]
-    // is a contiguous 4-lane load, sel[j] is lane-uniform, and both arm
-    // products share the loads.
-    __m256d pp = _mm256_loadu_pd(a + i0);
-    __m256d pn = pp;
-    for (std::size_t j = 0; j < len; ++j) {
-      const __m256d c = _mm256_loadu_pd(carry + j * len + i0);
-      const __m256d d = _mm256_loadu_pd(idle + j * len + i0);
-      if (sel[j]) {
-        pp = _mm256_mul_pd(pp, d);
-        pn = _mm256_mul_pd(pn, c);
-      } else {
-        pp = _mm256_mul_pd(pp, c);
-        pn = _mm256_mul_pd(pn, d);
-      }
-    }
-    store4(bufp, pp);
-    store4(bufn, pn);
-    // Scalar index order, honoring the a[i] == 0 skip (the lane computed a
-    // harmless all-zero product; transmissions are finite so 0 * T == 0).
-    for (std::size_t lane = 0; lane < 4; ++lane) {
-      if (a[i0 + lane] != 0.0) {
-        pos += bufp[lane];
-        neg += bufn[lane];
-      }
-    }
-  }
-  for (; i0 < len; ++i0) {
-    double pp = a[i0];
-    if (pp == 0.0) continue;
-    double pn = pp;
-    for (std::size_t j = 0; j < len; ++j) {
-      const double c = carry[j * len + i0];
-      const double d = idle[j * len + i0];
-      pp *= sel[j] ? d : c;
-      pn *= sel[j] ? c : d;
-    }
-    pos += pp;
-    neg += pn;
-  }
-  return pos - neg;
 }
 
 // --- counter-keyed gaussian sampler ----------------------------------------
+
+void store4(double* buf, __m256d v) { _mm256_storeu_pd(buf, v); }
 
 // 64-bit lane arithmetic AVX2 lacks natively: a*b mod 2^64 from 32x32->64
 // partial products.
@@ -366,9 +261,8 @@ void hash_gaussian_n_avx2(std::uint64_t key, std::uint64_t base_counter,
 }
 
 constexpr KernelTable kAvx2Table = {
-    gemm_row_panels_avx2,   abs_max_avx2,
-    arm_sum_diag_avx2,      arm_sum_xtalk_avx2,
-    arm_pair_diag_tbl_avx2, arm_pair_xtalk_tbl_avx2,
+    gemm_row_panels_avx2,    abs_max_avx2,
+    d_row_xtalk_avx2,        d_row_diag_avx2,
     hash_gaussian_keys_avx2, hash_gaussian_n_avx2,
     "avx2",
 };

@@ -36,10 +36,12 @@ MrBankTransferLut::MrBankTransferLut(const WavelengthGrid& grid, double q_factor
     delta_sq_[j] = delta_[j] * delta_[j];
   }
 
+  // Ring-major, like the carry and idle tables, so the builders' inner
+  // loop over channels streams contiguous memory.
   sep_.resize(n_ * n_);
-  for (std::size_t i = 0; i < n_; ++i) {
-    for (std::size_t j = 0; j < n_; ++j) {
-      sep_[i * n_ + j] = lambda_[i] - lambda_[j];
+  for (std::size_t j = 0; j < n_; ++j) {
+    for (std::size_t i = 0; i < n_; ++i) {
+      sep_[j * n_ + i] = lambda_[i] - lambda_[j];
     }
   }
 
@@ -63,7 +65,7 @@ MrBankTransferLut::MrBankTransferLut(const WavelengthGrid& grid, double q_factor
   for (std::size_t i = 0; i < n_; ++i) {
     for (std::size_t j = 0; j < n_; ++j) {
       if (i == j) continue;
-      phi_row_sum_[i] += crosstalk_coupling(sep_[i * n_ + j], delta_[j]);
+      phi_row_sum_[i] += crosstalk_coupling(sep_[j * n_ + i], delta_[j]);
     }
     max_phi_row_sum_ = std::max(max_phi_row_sum_, phi_row_sum_[i]);
   }
@@ -71,25 +73,6 @@ MrBankTransferLut::MrBankTransferLut(const WavelengthGrid& grid, double q_factor
 
 double MrBankTransferLut::detune_for_code(std::size_t ring, std::uint32_t code) const {
   return std::sqrt(delta_sq_.at(ring) * ratio_lut_.at(code));
-}
-
-double MrBankTransferLut::arm_sum(std::span<const double> a,
-                                  std::span<const double> detune,
-                                  bool crosstalk) const noexcept {
-  const auto& kt = numerics::kernels::active_table();
-  if (crosstalk) {
-    return kt.arm_sum_xtalk(a.data(), detune.data(), sep_.data(), n_,
-                            delta_sq_.data(), full_, a.size());
-  }
-  return kt.arm_sum_diag(a.data(), detune.data(), delta_sq_.data(), full_,
-                         a.size());
-}
-
-double MrBankTransferLut::vdp_dot(std::span<const double> a_mag,
-                                  std::span<const double> detune,
-                                  std::span<const unsigned char> neg,
-                                  bool crosstalk, VdpScratch& scratch) const {
-  return vdp_dot(a_mag, detune, neg, crosstalk, scratch, nullptr);
 }
 
 const double* MrBankTransferLut::drift_ptr(const VdpEffects* effects) const {
@@ -112,12 +95,12 @@ std::size_t MrBankTransferLut::arm_table_elems(std::size_t total,
   return elems;
 }
 
-// The two builders tabulate the exact per-(channel, ring) factors the
-// arm-sum kernels evaluate inline — same subexpressions, same rounding —
-// so arm sums over the tables reproduce the direct sums bit for bit. A
-// ring's operating point takes one of two values per arm: the imprint
-// detuning when it carries the weight ("carry") or resonance when the
-// weight went to the other arm ("idle"); drift shifts both.
+// The two builders tabulate every per-(channel, ring) Lorentzian factor,
+// 1 - full * delta_j^2 / (d^2 + delta_j^2) at d = lambda_i - (lambda_j -
+// detune_j + drift_j). A ring's operating point takes one of two values per
+// arm: the imprint detuning when it carries the weight ("carry") or
+// resonance when the weight went to the other arm ("idle"); drift shifts
+// both.
 void MrBankTransferLut::build_idle_table(std::size_t total, bool crosstalk,
                                          const VdpEffects* effects,
                                          double* out) const {
@@ -129,7 +112,7 @@ void MrBankTransferLut::build_idle_table(std::size_t total, bool crosstalk,
       for (std::size_t j = 0; j < len; ++j) {
         const double dj = drift != nullptr ? -drift[j] : 0.0;
         for (std::size_t i = 0; i < len; ++i) {
-          const double d = sep_[i * n_ + j] + dj;
+          const double d = sep_[j * n_ + i] + dj;
           out[off + j * len + i] =
               1.0 - full_ * delta_sq_[j] / (d * d + delta_sq_[j]);
         }
@@ -159,7 +142,7 @@ void MrBankTransferLut::build_carry_table(std::span<const double> detune,
         const double dj = drift != nullptr ? detune[start + j] - drift[j]
                                            : detune[start + j];
         for (std::size_t i = 0; i < len; ++i) {
-          const double d = sep_[i * n_ + j] + dj;
+          const double d = sep_[j * n_ + i] + dj;
           out[off + j * len + i] =
               1.0 - full_ * delta_sq_[j] / (d * d + delta_sq_[j]);
         }
@@ -176,58 +159,146 @@ void MrBankTransferLut::build_carry_table(std::span<const double> detune,
   }
 }
 
-double MrBankTransferLut::vdp_dot(std::span<const double> a_mag,
-                                  std::span<const double> detune,
-                                  std::span<const unsigned char> neg,
-                                  bool crosstalk, VdpScratch& scratch,
-                                  const VdpEffects* effects) const {
-  const std::size_t total = a_mag.size();
-  if (detune.size() != total || neg.size() != total) {
-    throw std::invalid_argument("MrBankTransferLut::vdp_dot: size mismatch");
+namespace {
+
+std::uint64_t bits_of(double v) {
+  std::uint64_t b;
+  static_assert(sizeof(b) == sizeof(v));
+  std::memcpy(&b, &v, sizeof(b));
+  return b;
+}
+
+/// Sign flag folded into a non-negative double's bit pattern (sign bit
+/// free), so one hash_combine word carries both.
+std::uint64_t signed_bits(double magnitude, bool negative) {
+  return bits_of(magnitude) ^ (negative ? ~0ULL : 0ULL);
+}
+
+/// DAC row scale: max |v|, exact for float or double input.
+template <class T>
+double abs_max(const T* v, std::size_t k) {
+  double m = 0.0;
+  for (std::size_t i = 0; i < k; ++i) {
+    m = std::max(m, std::abs(static_cast<double>(v[i])));
   }
-  const double* drift = drift_ptr(effects);
+  return m;
+}
+
+}  // namespace
+
+template <class T>
+double MrBankTransferLut::pack_weight_row(const T* w, std::size_t k,
+                                          double* det, unsigned char* neg,
+                                          unsigned char* zero,
+                                          std::uint64_t* key) const {
+  const double scale = abs_max(w, k);
+  if (scale == 0.0) return scale;
+  for (std::size_t start = 0, c = 0; start < k; start += n_, ++c) {
+    const std::size_t len = std::min(n_, k - start);
+    std::uint64_t h = static_cast<std::uint64_t>(start);
+    for (std::size_t j = 0; j < len; ++j) {
+      const double wv = static_cast<double>(w[start + j]);
+      const std::size_t i = start + j;
+      det[i] = detune_for_code(j, quant_.encode(std::abs(wv) / scale));
+      neg[i] = wv < 0.0 ? 1 : 0;
+      zero[i] = wv == 0.0 ? 1 : 0;
+      // A zero weight's detuning is +0.0; the low tag bit keeps it apart
+      // from a nonzero weight that quantizes to code 0.
+      h = numerics::hash_combine(
+          h, signed_bits(det[i], neg[i] != 0) ^ (zero[i] ? 1ULL : 0ULL));
+    }
+    key[c] = h;
+  }
+  return scale;
+}
+
+template <class T>
+double MrBankTransferLut::pack_activation_row(const T* x, std::size_t k,
+                                              double* a, unsigned char* neg,
+                                              unsigned char* mixed,
+                                              std::uint64_t* key) const {
+  const double scale = abs_max(x, k);
+  if (scale == 0.0) return scale;
+  for (std::size_t start = 0, c = 0; start < k; start += n_, ++c) {
+    const std::size_t len = std::min(n_, k - start);
+    unsigned char any_neg = 0;
+    for (std::size_t i = start; i < start + len; ++i) {
+      const double v = static_cast<double>(x[i]);
+      a[i] = quant_.quantize(std::abs(v) / scale);
+      neg[i] = v < 0.0 ? 1 : 0;
+      any_neg |= neg[i];
+    }
+    mixed[c] = any_neg;
+    if (key == nullptr) continue;
+    std::uint64_t h = 0;
+    for (std::size_t i = start; i < start + len; ++i) {
+      h = numerics::hash_combine(h, signed_bits(a[i], neg[i] != 0));
+    }
+    key[c] = h;
+  }
+  return scale;
+}
+
+template double MrBankTransferLut::pack_weight_row<float>(
+    const float*, std::size_t, double*, unsigned char*, unsigned char*,
+    std::uint64_t*) const;
+template double MrBankTransferLut::pack_weight_row<double>(
+    const double*, std::size_t, double*, unsigned char*, unsigned char*,
+    std::uint64_t*) const;
+template double MrBankTransferLut::pack_activation_row<float>(
+    const float*, std::size_t, double*, unsigned char*, unsigned char*,
+    std::uint64_t*) const;
+template double MrBankTransferLut::pack_activation_row<double>(
+    const double*, std::size_t, double*, unsigned char*, unsigned char*,
+    std::uint64_t*) const;
+
+void MrBankTransferLut::build_d_row(const unsigned char* w_neg,
+                                    std::size_t total, bool crosstalk,
+                                    const double* carry, const double* idle,
+                                    double* d) const {
+  // Sign-free activations leave every weight on its own arm: sel = w_neg
+  // (a zero weight is never negative, so it stays on the positive arm).
+  for (std::size_t start = 0; start < total; start += n_) {
+    chunk_d(w_neg + start, start, std::min(n_, total - start), crosstalk, carry,
+            idle, d + start);
+  }
+}
+
+void MrBankTransferLut::chunk_d(const unsigned char* sel, std::size_t start,
+                                std::size_t len, bool crosstalk,
+                                const double* carry, const double* idle,
+                                double* d) const {
+  // Every chunk before `start` is full: n^2 table entries with crosstalk.
+  const auto& kt = numerics::kernels::active_table();
+  if (crosstalk) {
+    kt.d_row_xtalk(sel, carry + start * n_, idle + start * n_, len, d);
+  } else {
+    kt.d_row_diag(sel, carry + start, idle + start, len, d);
+  }
+}
+
+void MrBankTransferLut::fit_scratch(VdpScratch& scratch,
+                                    std::size_t total) const {
+  if (scratch.d.size() < n_) {
+    scratch.d.resize(n_);
+    scratch.sel.resize(n_);
+  }
+  const std::size_t nchunks = chunks(total);
+  if (scratch.partial.size() < nchunks) {
+    scratch.partial.resize(nchunks);
+    scratch.noise_key.resize(nchunks);
+    scratch.noise_draw.resize(nchunks);
+  }
+}
+
+double MrBankTransferLut::vdp_output(const VdpActivationRow& x,
+                                     const VdpWeightRow& w, std::size_t k,
+                                     const double* idle, bool crosstalk,
+                                     const VdpEffects* effects,
+                                     VdpScratch& scratch) const {
+  const auto& kt = numerics::kernels::active_table();
   const double noise_std =
       effects != nullptr && effects->active() ? effects->noise_std : 0.0;
-  if (scratch.detune_pos.size() < n_) {
-    scratch.detune_pos.resize(n_);
-    scratch.detune_neg.resize(n_);
-  }
-  double* dp = scratch.detune_pos.data();
-  double* dn = scratch.detune_neg.data();
-
-  // Split the signed weight across the balanced-PD arms: the arm not
-  // carrying the weight holds a zero-weight (on-resonance) ring. A drifted
-  // ring j resonates at lambda_j - detune_j + drift_j, so the drift enters
-  // as a negative detuning contribution on both arms.
-  const auto chunk_partial = [&](std::size_t start, std::size_t len) {
-    if (drift == nullptr) {
-      for (std::size_t j = 0; j < len; ++j) {
-        const double d = detune[start + j];
-        if (neg[start + j]) {
-          dp[j] = 0.0;
-          dn[j] = d;
-        } else {
-          dp[j] = d;
-          dn[j] = 0.0;
-        }
-      }
-    } else {
-      for (std::size_t j = 0; j < len; ++j) {
-        const double d = detune[start + j];
-        if (neg[start + j]) {
-          dp[j] = -drift[j];
-          dn[j] = d - drift[j];
-        } else {
-          dp[j] = d - drift[j];
-          dn[j] = -drift[j];
-        }
-      }
-    }
-    const double pos = arm_sum(a_mag.subspan(start, len), {dp, len}, crosstalk);
-    const double negative =
-        arm_sum(a_mag.subspan(start, len), {dn, len}, crosstalk);
-    return pos - negative;
-  };
   // Partial-sum ADC: the balanced-PD output re-enters the digital domain
   // (via the VCSEL accumulation path) at the datapath resolution.
   const auto requantized = [this](double partial, std::size_t len) {
@@ -236,144 +307,49 @@ double MrBankTransferLut::vdp_dot(std::span<const double> a_mag,
            (partial < 0.0 ? -1.0 : 1.0);
   };
 
-  double acc = 0.0;
+  double* partial = scratch.partial.data();
+  for (std::size_t start = 0, c = 0; start < k; start += n_, ++c) {
+    const std::size_t len = std::min(n_, k - start);
+    const double* d = w.d + start;
+    if (x.mixed[c]) {
+      // A negative activation moves its ring's weight to the other arm:
+      // form this chunk's D from the same tables with the folded selects.
+      unsigned char* sel = scratch.sel.data();
+      for (std::size_t j = 0; j < len; ++j) {
+        const std::size_t i = start + j;
+        sel[j] = static_cast<unsigned char>(!w.zero[i] && (w.neg[i] != x.neg[i]));
+      }
+      chunk_d(sel, start, len, crosstalk, w.carry, idle, scratch.d.data());
+      d = scratch.d.data();
+    }
+    // Chunk partial: sum_i a_i * D_i in index order.
+    double sum = 0.0;
+    for (std::size_t j = 0; j < len; ++j) sum += x.a[start + j] * d[j];
+    partial[c] = sum;
+  }
+
+  const std::size_t nchunks = chunks(k);
   if (noise_std > 0.0) {
     // Balanced detection sums 2 * len independent per-channel noise currents
-    // in quadrature. Each draw is keyed on the chunk's operands (activation
-    // magnitudes, imprint detunings, arm signs, chunk position), never on
-    // evaluation order, so scalar, batched, and any executor schedule sample
-    // the same perturbation; only genuinely identical operand chunks share a
-    // draw. The keys for every chunk are collected first so the draws go
-    // through one bulk hash_gaussian_keys kernel call — bit-identical to the
-    // historical per-chunk hash_gaussian calls.
-    const auto bits_of = [](double v) {
-      std::uint64_t b;
-      static_assert(sizeof(b) == sizeof(v));
-      std::memcpy(&b, &v, sizeof(b));
-      return b;
-    };
-    const std::size_t nchunks = (total + n_ - 1) / n_;
-    if (scratch.partial.size() < nchunks) {
-      scratch.partial.resize(nchunks);
-      scratch.noise_key.resize(nchunks);
-      scratch.noise_draw.resize(nchunks);
+    // in quadrature. The draw is keyed on the operands, never on evaluation
+    // order, so scalar, batched, and any executor schedule sample the same
+    // perturbation.
+    for (std::size_t c = 0; c < nchunks; ++c) {
+      scratch.noise_key[c] = numerics::hash_combine(
+          numerics::hash_combine(effects->noise_seed, w.key[c]), x.key[c]);
     }
-    std::size_t ci = 0;
-    for (std::size_t start = 0; start < total; start += n_, ++ci) {
-      const std::size_t len = std::min(n_, total - start);
-      scratch.partial[ci] = chunk_partial(start, len);
-      std::uint64_t key = xl::numerics::hash_combine(
-          effects->noise_seed, static_cast<std::uint64_t>(start));
-      for (std::size_t j = 0; j < len; ++j) {
-        key = xl::numerics::hash_combine(key, bits_of(a_mag[start + j]));
-        key = xl::numerics::hash_combine(
-            key, bits_of(detune[start + j]) ^ (neg[start + j] ? ~0ULL : 0ULL));
-      }
-      scratch.noise_key[ci] = key;
-    }
-    numerics::kernels::active_table().hash_gaussian_keys(
-        scratch.noise_key.data(), nchunks, scratch.noise_draw.data());
-    ci = 0;
-    for (std::size_t start = 0; start < total; start += n_, ++ci) {
-      const std::size_t len = std::min(n_, total - start);
-      const double partial =
-          scratch.partial[ci] + noise_std *
-                                    std::sqrt(2.0 * static_cast<double>(len)) *
-                                    scratch.noise_draw[ci];
-      acc += requantized(partial, len);
-    }
-  } else {
-    for (std::size_t start = 0; start < total; start += n_) {
-      const std::size_t len = std::min(n_, total - start);
-      acc += requantized(chunk_partial(start, len), len);
-    }
+    kt.hash_gaussian_keys(scratch.noise_key.data(), nchunks,
+                          scratch.noise_draw.data());
   }
-  return acc;
-}
-
-double MrBankTransferLut::vdp_dot_tbl(std::span<const double> a_mag,
-                                      std::span<const double> detune,
-                                      std::span<const unsigned char> neg,
-                                      bool crosstalk, VdpScratch& scratch,
-                                      const VdpEffects* effects,
-                                      const double* carry,
-                                      const double* idle) const {
-  const std::size_t total = a_mag.size();
-  if (detune.size() != total || neg.size() != total) {
-    throw std::invalid_argument("MrBankTransferLut::vdp_dot_tbl: size mismatch");
-  }
-  const double noise_std =
-      effects != nullptr && effects->active() ? effects->noise_std : 0.0;
-
-  // Balanced-PD partial over the prebuilt tables: ring j's factor is carry
-  // on the arm holding the weight and idle on the other. The fused pair
-  // kernels form both arms in one table pass, multiplying the identical
-  // factor values in the identical order as vdp_dot's arm_sum calls and
-  // subtracting identically — bit-identical, divisions hoisted.
-  const auto& kt = numerics::kernels::active_table();
-  const auto chunk_partial = [&](std::size_t start, std::size_t toff,
-                                 std::size_t len) {
-    const double* a = a_mag.data() + start;
-    const unsigned char* sel = neg.data() + start;
-    if (crosstalk) {
-      return kt.arm_pair_xtalk_tbl(a, sel, carry + toff, idle + toff, len);
-    }
-    return kt.arm_pair_diag_tbl(a, sel, carry + toff, idle + toff, len);
-  };
-  // Keep in sync with vdp_dot: the requantization and the operand-keyed
-  // noise accumulation below are the same code over the same partials.
-  const auto requantized = [this](double partial, std::size_t len) {
-    const double norm = static_cast<double>(len);
-    return (quant_.quantize(std::abs(partial) / norm) * norm) *
-           (partial < 0.0 ? -1.0 : 1.0);
-  };
-
   double acc = 0.0;
-  std::size_t toff = 0;
-  if (noise_std > 0.0) {
-    const auto bits_of = [](double v) {
-      std::uint64_t b;
-      static_assert(sizeof(b) == sizeof(v));
-      std::memcpy(&b, &v, sizeof(b));
-      return b;
-    };
-    const std::size_t nchunks = (total + n_ - 1) / n_;
-    if (scratch.partial.size() < nchunks) {
-      scratch.partial.resize(nchunks);
-      scratch.noise_key.resize(nchunks);
-      scratch.noise_draw.resize(nchunks);
+  for (std::size_t start = 0, c = 0; start < k; start += n_, ++c) {
+    const std::size_t len = std::min(n_, k - start);
+    double p = partial[c];
+    if (noise_std > 0.0) {
+      p += noise_std * std::sqrt(2.0 * static_cast<double>(len)) *
+           scratch.noise_draw[c];
     }
-    std::size_t ci = 0;
-    for (std::size_t start = 0; start < total; start += n_, ++ci) {
-      const std::size_t len = std::min(n_, total - start);
-      scratch.partial[ci] = chunk_partial(start, toff, len);
-      toff += crosstalk ? len * len : len;
-      std::uint64_t key = xl::numerics::hash_combine(
-          effects->noise_seed, static_cast<std::uint64_t>(start));
-      for (std::size_t j = 0; j < len; ++j) {
-        key = xl::numerics::hash_combine(key, bits_of(a_mag[start + j]));
-        key = xl::numerics::hash_combine(
-            key, bits_of(detune[start + j]) ^ (neg[start + j] ? ~0ULL : 0ULL));
-      }
-      scratch.noise_key[ci] = key;
-    }
-    numerics::kernels::active_table().hash_gaussian_keys(
-        scratch.noise_key.data(), nchunks, scratch.noise_draw.data());
-    ci = 0;
-    for (std::size_t start = 0; start < total; start += n_, ++ci) {
-      const std::size_t len = std::min(n_, total - start);
-      const double partial =
-          scratch.partial[ci] + noise_std *
-                                    std::sqrt(2.0 * static_cast<double>(len)) *
-                                    scratch.noise_draw[ci];
-      acc += requantized(partial, len);
-    }
-  } else {
-    for (std::size_t start = 0; start < total; start += n_) {
-      const std::size_t len = std::min(n_, total - start);
-      acc += requantized(chunk_partial(start, toff, len), len);
-      toff += crosstalk ? len * len : len;
-    }
+    acc += requantized(p, len);
   }
   return acc;
 }

@@ -1,9 +1,13 @@
 // Composable non-ideality pipeline tests.
 //
-// The two contracts this file pins:
+// The contracts this file pins:
 //   1. Effects off is *bit-identical* to the pre-pipeline datapath — the
 //      golden values below were captured from the engine before the effect
-//      refactor (same seeds, same shapes).
+//      refactor (same seeds, same shapes). The D-row contract (per-chunk
+//      transmission differences, see photonics/bank_lut.hpp) left them
+//      unchanged: its few-ulp partial-sum changes vanish in the 16-bit
+//      partial-sum requantization here. The all-effects values are pinned
+//      too, beside the values from before the PD-noise key split.
 //   2. Effects on is deterministic: fixed seeds give identical results for
 //      scalar vs. batched execution and for any executor width.
 #include <gtest/gtest.h>
@@ -22,6 +26,7 @@
 #include "dnn/pooling.hpp"
 #include "dnn/reshape.hpp"
 #include "exec/task_pool.hpp"
+#include "numerics/gemm.hpp"
 #include "numerics/rng.hpp"
 
 namespace {
@@ -97,6 +102,51 @@ TEST(EffectPipeline, EffectsOffInferBatchBitIdenticalToPreRefactorGolden) {
     for (std::size_t c = 0; c < 4; ++c) {
       EXPECT_FLOAT_EQ(logits.at2(b, c), golden[b][c])
           << "logit (" << b << ", " << c << ")";
+    }
+  }
+}
+
+TEST(EffectPipeline, AllEffectsMatmulPinnedAcrossTheNoiseKeyChange) {
+  // Same operands as the effects-off golden, every effect on, 3 us of
+  // thermal drift. `golden` holds the D-row contract's values with the split
+  // PD-noise key; `keyed_on_operand_chain` the values from before it (noise
+  // keyed on one hash chain over every operand, arm sums in the old
+  // multiply order). Only the noise draws differ, so each old value must sit
+  // within 6 sigma of the difference of two independent draws.
+  numerics::Rng rng(7);
+  const numerics::Matrix x = random_matrix(3, 40, rng);
+  const numerics::Matrix w = random_matrix(4, 40, rng);
+  core::BatchedVdpEngine engine(all_effects_options());
+  engine.advance_effects(3.0);
+  const numerics::Matrix y = engine.photonic_matmul(x, w);
+  const double golden[3][4] = {
+      {2.3762415529677159, 2.0835531234766895, -1.309503849215274,
+       0.16727011268352179},
+      {-3.0544859415659604, -5.7898388051513763, 0.57027078774960827,
+       -5.2318721934618475},
+      {0.079021741025240372, 0.023600169137794464, 2.5032446774368302,
+       2.5282337622663951},
+  };
+  const double keyed_on_operand_chain[3][4] = {
+      {2.5265655587420843, 1.62684124736358, -1.5464552511580472,
+       0.3542544716662262},
+      {-2.7779914368326435, -5.8244857441830504, 0.75319779172693846,
+       -5.4945423200471746},
+      {0.33758498649687207, -0.086140617352949977, 2.5479508062914715,
+       2.8571710998254698},
+  };
+  const numerics::Vector sx = numerics::row_abs_max(x);
+  const numerics::Vector sw = numerics::row_abs_max(w);
+  const double noise_std = engine.effects().noise_std();
+  ASSERT_GT(noise_std, 0.0);
+  for (std::size_t r = 0; r < 3; ++r) {
+    for (std::size_t c = 0; c < 4; ++c) {
+      EXPECT_EQ(y(r, c), golden[r][c]) << "element (" << r << ", " << c << ")";
+      // Per-output noise: sqrt(2 len) * noise_std per chunk, summed in
+      // quadrature over the 40 elements, in output units.
+      const double sigma = std::sqrt(2.0) * noise_std * std::sqrt(2.0 * 40.0) * sx[r] * sw[c];
+      EXPECT_NEAR(y(r, c), keyed_on_operand_chain[r][c], 6.0 * sigma)
+          << "element (" << r << ", " << c << ")";
     }
   }
 }

@@ -38,7 +38,10 @@
 #include "numerics/arena.hpp"
 #include "numerics/matrix.hpp"
 #include "numerics/rng.hpp"
+#include "photonics/microring.hpp"
+#include "photonics/wdm.hpp"
 #include "serve/serving_runtime.hpp"
+#include "vdp_reference.hpp"
 
 namespace xl {
 namespace {
@@ -127,9 +130,9 @@ VdpSimOptions vdp_with(const char* effects) {
 
 /// Layers [begin, end) of `net` on `batch`, one layer at a time: every
 /// CONV/FC layer copies its operands into Matrix form (im2col patches for a
-/// CONV) and runs the Matrix overload of BatchedVdpEngine::photonic_matmul,
-/// electronic layers run forward(), and simulated time advances one thermal
-/// dt per accelerated layer. `stats` receives the engine-level counters and,
+/// CONV) and runs the independent scalar VDP reference (vdp_reference.hpp)
+/// under `engine`'s current effect frame, electronic layers run forward(),
+/// and simulated time advances one thermal dt per accelerated layer. `stats` receives the engine-level counters and,
 /// when `track_error` is set, the max |photonic - float| over the GEMM
 /// layers' outputs.
 Tensor oracle_forward(dnn::Network& net, core::BatchedVdpEngine& engine,
@@ -138,6 +141,13 @@ Tensor oracle_forward(dnn::Network& net, core::BatchedVdpEngine& engine,
                       bool track_error = false) {
   using numerics::Matrix;
   const double dt = engine.options().effects.thermal_stage.dt_us;
+  const VdpSimOptions& opts = engine.options();
+  const testing::VdpReference ref(
+      photonics::WavelengthGrid(opts.mrs_per_bank, opts.fsr_nm, opts.center_wavelength_nm),
+      opts.q_factor, photonics::MicroringDesign{}.extinction_ratio_db, opts.resolution_bits);
+  const auto photonic_matmul = [&](const Matrix& xm, const Matrix& wm) {
+    return ref.matmul(xm, wm, engine.effects().crosstalk(), engine.effects().vdp_effects());
+  };
   Tensor x = batch;
   for (std::size_t l = begin; l < end; ++l) {
     dnn::Layer& layer = net.layer(l);
@@ -164,7 +174,7 @@ Tensor oracle_forward(dnn::Network& net, core::BatchedVdpEngine& engine,
       for (std::size_t o = 0; o < outputs; ++o) {
         for (std::size_t i = 0; i < k; ++i) wm(o, i) = dense.weights().at2(o, i);
       }
-      const Matrix y = engine.photonic_matmul(xm, wm);
+      const Matrix y = photonic_matmul(xm, wm);
       out = Tensor({rows, outputs});
       for (std::size_t b = 0; b < rows; ++b) {
         for (std::size_t o = 0; o < outputs; ++o) {
@@ -186,7 +196,7 @@ Tensor oracle_forward(dnn::Network& net, core::BatchedVdpEngine& engine,
       for (std::size_t o = 0; o < outputs; ++o) {
         for (std::size_t i = 0; i < k; ++i) wm(o, i) = conv.weights().data()[o * k + i];
       }
-      const Matrix y = engine.photonic_matmul(xm, wm);
+      const Matrix y = photonic_matmul(xm, wm);
       const std::size_t pixels = out_shape[2] * out_shape[3];
       out = Tensor(out_shape);
       for (std::size_t r = 0; r < rows; ++r) {

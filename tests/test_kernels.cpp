@@ -3,7 +3,7 @@
 // numerics/kernels.hpp), across randomized shapes covering every alignment
 // of the problem size against the SIMD width. On hardware without AVX2 (or
 // under XL_DISABLE_SIMD=1) active == scalar and the parity checks are
-// trivially green; the matmul/vdp_dot reference checks still bite.
+// trivially green; the matmul and VDP datapath reference checks still bite.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,6 +21,7 @@
 #include "numerics/rng.hpp"
 #include "photonics/bank_lut.hpp"
 #include "photonics/wdm.hpp"
+#include "vdp_reference.hpp"
 
 namespace xl::numerics::kernels {
 namespace {
@@ -89,152 +90,44 @@ TEST(KernelParity, AbsMax) {
   }
 }
 
-TEST(KernelParity, ArmSumDiag) {
-  Rng rng(303);
-  const KernelTable& s = scalar_table();
-  const KernelTable& a = active_table();
-  for (std::size_t len = 0; len <= 35; ++len) {
-    const auto av = random_vec(rng, len, 0.0, 1.0, 0.2);
-    const auto detune = random_vec(rng, len, 0.0, 0.2);
-    const auto dsq = random_vec(rng, len, 1e-4, 2e-2);
-    const double full = 0.968;
-    EXPECT_EQ(s.arm_sum_diag(av.data(), detune.data(), dsq.data(), full, len),
-              a.arm_sum_diag(av.data(), detune.data(), dsq.data(), full, len))
-        << "len=" << len;
-  }
-}
-
-TEST(KernelParity, ArmSumXtalk) {
-  Rng rng(404);
-  const KernelTable& s = scalar_table();
-  const KernelTable& a = active_table();
-  // sep_stride > len exercises the strided row addressing of a sub-chunk
-  // evaluated against a full bank-sized separation table.
-  for (const std::size_t stride : {std::size_t{16}, std::size_t{23}}) {
-    for (std::size_t len = 0; len <= stride; ++len) {
-      const auto av = random_vec(rng, len, 0.0, 1.0, 0.25);
-      const auto detune = random_vec(rng, len, 0.0, 0.2);
-      const auto dsq = random_vec(rng, stride, 1e-4, 2e-2);
-      const auto sep = random_vec(rng, stride * stride, -3.0, 3.0);
-      const double full = 0.968;
-      EXPECT_EQ(s.arm_sum_xtalk(av.data(), detune.data(), sep.data(), stride,
-                                dsq.data(), full, len),
-                a.arm_sum_xtalk(av.data(), detune.data(), sep.data(), stride,
-                                dsq.data(), full, len))
-          << "stride=" << stride << " len=" << len;
-    }
-  }
-}
-
-// Transmission at detuning d for ring j's linewidth, the exact expression
-// the fused table kernels consume (photonics::MrBankTransferLut builds its
-// tables with the same one).
-double lorentzian_t(double d, double delta_sq, double full) {
-  return 1.0 - full * delta_sq / (d * d + delta_sq);
-}
-
-TEST(KernelParity, ArmPairDiagTbl) {
-  Rng rng(909);
-  const KernelTable& s = scalar_table();
-  const KernelTable& a = active_table();
-  for (std::size_t len = 0; len <= 35; ++len) {
-    const auto av = random_vec(rng, len, 0.0, 1.0, 0.2);
-    const auto carry = random_vec(rng, len, 0.2, 1.0);
-    const auto idle = random_vec(rng, len, 0.2, 1.0);
-    std::vector<unsigned char> sel(len);
-    for (auto& sb : sel) sb = rng.bernoulli(0.5) ? 1 : 0;
-    EXPECT_EQ(
-        s.arm_pair_diag_tbl(av.data(), sel.data(), carry.data(), idle.data(), len),
-        a.arm_pair_diag_tbl(av.data(), sel.data(), carry.data(), idle.data(), len))
-        << "len=" << len;
-  }
-}
-
-TEST(KernelParity, ArmPairXtalkTbl) {
+TEST(KernelParity, DRowXtalk) {
   Rng rng(1010);
   const KernelTable& s = scalar_table();
   const KernelTable& a = active_table();
   for (std::size_t len = 0; len <= 23; ++len) {
-    const auto av = random_vec(rng, len, 0.0, 1.0, 0.25);
     const auto carry = random_vec(rng, len * len, 0.2, 1.0);
     const auto idle = random_vec(rng, len * len, 0.2, 1.0);
     std::vector<unsigned char> sel(len);
     for (auto& sb : sel) sb = rng.bernoulli(0.5) ? 1 : 0;
-    EXPECT_EQ(s.arm_pair_xtalk_tbl(av.data(), sel.data(), carry.data(),
-                                   idle.data(), len),
-              a.arm_pair_xtalk_tbl(av.data(), sel.data(), carry.data(),
-                                   idle.data(), len))
-        << "len=" << len;
-  }
-}
-
-// The fused pair kernels must equal the two arm_sum calls they replace when
-// the tables hold the Lorentzian transmissions the arm sums would compute:
-// carry = ring at its imprint detuning, idle = ring parked on resonance, and
-// sel routes each ring's carry value to the arm the folded sign puts it on.
-TEST(KernelParity, ArmPairDiagTblMatchesArmSumDifference) {
-  Rng rng(1111);
-  const KernelTable& s = scalar_table();
-  const double full = 0.968;
-  for (std::size_t len = 1; len <= 19; ++len) {
-    const auto av = random_vec(rng, len, 0.0, 1.0, 0.2);
-    const auto det_carry = random_vec(rng, len, 0.0, 0.2);
-    const auto det_idle = random_vec(rng, len, -0.05, 0.05);
-    const auto dsq = random_vec(rng, len, 1e-4, 2e-2);
-    std::vector<unsigned char> sel(len);
-    for (auto& sb : sel) sb = rng.bernoulli(0.5) ? 1 : 0;
-    std::vector<double> carry(len);
-    std::vector<double> idle(len);
-    std::vector<double> dpos(len);
-    std::vector<double> dneg(len);
+    std::vector<double> d_s(len, -1.0);
+    std::vector<double> d_a(len, +1.0);
+    s.d_row_xtalk(sel.data(), carry.data(), idle.data(), len, d_s.data());
+    a.d_row_xtalk(sel.data(), carry.data(), idle.data(), len, d_a.data());
     for (std::size_t i = 0; i < len; ++i) {
-      carry[i] = lorentzian_t(det_carry[i], dsq[i], full);
-      idle[i] = lorentzian_t(det_idle[i], dsq[i], full);
-      dpos[i] = sel[i] ? det_idle[i] : det_carry[i];
-      dneg[i] = sel[i] ? det_carry[i] : det_idle[i];
+      EXPECT_EQ(d_s[i], d_a[i]) << "len=" << len << " i=" << i;
     }
-    const double pair = s.arm_pair_diag_tbl(av.data(), sel.data(), carry.data(),
-                                            idle.data(), len);
-    const double two_arms =
-        s.arm_sum_diag(av.data(), dpos.data(), dsq.data(), full, len) -
-        s.arm_sum_diag(av.data(), dneg.data(), dsq.data(), full, len);
-    EXPECT_EQ(pair, two_arms) << "len=" << len;
   }
 }
 
-TEST(KernelParity, ArmPairXtalkTblMatchesArmSumDifference) {
-  Rng rng(1212);
+TEST(KernelParity, DRowDiag) {
+  Rng rng(909);
   const KernelTable& s = scalar_table();
-  const double full = 0.968;
-  for (std::size_t len = 1; len <= 16; ++len) {
-    const auto av = random_vec(rng, len, 0.0, 1.0, 0.25);
-    const auto det_carry = random_vec(rng, len, 0.0, 0.2);
-    const auto det_idle = random_vec(rng, len, -0.05, 0.05);
-    const auto dsq = random_vec(rng, len, 1e-4, 2e-2);
-    const auto sep = random_vec(rng, len * len, -3.0, 3.0);
+  const KernelTable& a = active_table();
+  for (std::size_t len = 0; len <= 35; ++len) {
+    const auto carry = random_vec(rng, len, 0.2, 1.0);
+    const auto idle = random_vec(rng, len, 0.2, 1.0);
     std::vector<unsigned char> sel(len);
     for (auto& sb : sel) sb = rng.bernoulli(0.5) ? 1 : 0;
-    // Column-major tables, t[j * len + i]: channel i through ring j.
-    std::vector<double> carry(len * len);
-    std::vector<double> idle(len * len);
-    std::vector<double> dpos(len);
-    std::vector<double> dneg(len);
-    for (std::size_t j = 0; j < len; ++j) {
-      for (std::size_t i = 0; i < len; ++i) {
-        const double sep_ij = sep[i * len + j];
-        carry[j * len + i] = lorentzian_t(sep_ij + det_carry[j], dsq[j], full);
-        idle[j * len + i] = lorentzian_t(sep_ij + det_idle[j], dsq[j], full);
-      }
-      dpos[j] = sel[j] ? det_idle[j] : det_carry[j];
-      dneg[j] = sel[j] ? det_carry[j] : det_idle[j];
+    std::vector<double> d_s(len, -1.0);
+    std::vector<double> d_a(len, +1.0);
+    s.d_row_diag(sel.data(), carry.data(), idle.data(), len, d_s.data());
+    a.d_row_diag(sel.data(), carry.data(), idle.data(), len, d_a.data());
+    for (std::size_t i = 0; i < len; ++i) {
+      EXPECT_EQ(d_s[i], d_a[i]) << "len=" << len << " i=" << i;
+      const double p = sel[i] ? idle[i] : carry[i];
+      const double n = sel[i] ? carry[i] : idle[i];
+      EXPECT_EQ(d_s[i], p - n) << "len=" << len << " i=" << i;
     }
-    const double pair = s.arm_pair_xtalk_tbl(av.data(), sel.data(), carry.data(),
-                                             idle.data(), len);
-    const double two_arms = s.arm_sum_xtalk(av.data(), dpos.data(), sep.data(),
-                                            len, dsq.data(), full, len) -
-                            s.arm_sum_xtalk(av.data(), dneg.data(), sep.data(),
-                                            len, dsq.data(), full, len);
-    EXPECT_EQ(pair, two_arms) << "len=" << len;
   }
 }
 
@@ -328,123 +221,166 @@ TEST(KernelParity, RowAbsMaxMatchesNaive) {
   }
 }
 
-// --- end-to-end vdp_dot vs an independent scalar re-derivation ---------------
+// --- the chunked VDP datapath vs its references ------------------------------
 
-class VdpDotParity : public ::testing::Test {
+class VdpDatapath : public ::testing::Test {
  protected:
   static constexpr std::size_t kBank = 8;
   static constexpr double kQ = 8000.0;
   static constexpr double kErDb = 15.0;
   static constexpr int kBits = 8;
 
-  VdpDotParity() : grid_(kBank, 0.8), lut_(grid_, kQ, kErDb, kBits) {
-    lambda_ = grid_.wavelengths();
-    delta_sq_.resize(kBank);
-    for (std::size_t j = 0; j < kBank; ++j) {
-      const double delta = lambda_[j] / (2.0 * kQ);
-      delta_sq_[j] = delta * delta;
-    }
-    full_ = 1.0 - lut_.min_transmission();
+  VdpDatapath()
+      : grid_(kBank, 0.8), lut_(grid_, kQ, kErDb, kBits), ref_(grid_, kQ, kErDb, kBits) {}
+
+  /// One output through the library: the LUT's operand packing, tables,
+  /// sign-free D row and vdp_output. `force_mixed` marks every chunk as
+  /// holding a negative activation, so each D is formed on the fly.
+  double lut_dot(std::span<const double> x, std::span<const double> w,
+                 bool crosstalk, const photonics::VdpEffects* fx,
+                 bool force_mixed = false) const {
+    const std::size_t k = x.size();
+    const std::size_t chunks = lut_.chunks(k);
+    std::vector<double> a(k);
+    std::vector<double> det(k);
+    std::vector<unsigned char> x_neg(k);
+    std::vector<unsigned char> w_neg(k);
+    std::vector<unsigned char> w_zero(k);
+    std::vector<unsigned char> mixed(chunks);
+    std::vector<std::uint64_t> x_key(chunks);
+    std::vector<std::uint64_t> w_key(chunks);
+    const double sx = lut_.pack_activation_row(x.data(), k, a.data(), x_neg.data(),
+                                               mixed.data(), x_key.data());
+    const double sw = lut_.pack_weight_row(w.data(), k, det.data(), w_neg.data(),
+                                           w_zero.data(), w_key.data());
+    if (force_mixed) std::fill(mixed.begin(), mixed.end(), 1);
+    const std::size_t arm = lut_.arm_table_elems(k, crosstalk);
+    std::vector<double> idle(arm);
+    std::vector<double> carry(arm + k);
+    lut_.build_idle_table(k, crosstalk, fx, idle.data());
+    lut_.build_carry_table(det, crosstalk, fx, carry.data());
+    lut_.build_d_row(w_neg.data(), k, crosstalk, carry.data(), idle.data(),
+                     carry.data() + arm);
+    photonics::VdpScratch scratch;
+    lut_.fit_scratch(scratch, k);
+    const photonics::VdpActivationRow xr{a.data(), x_neg.data(), mixed.data(),
+                                         x_key.data()};
+    const photonics::VdpWeightRow wr{w_neg.data(), w_zero.data(), w_key.data(),
+                                     carry.data(), carry.data() + arm};
+    return lut_.vdp_output(xr, wr, k, idle.data(), crosstalk, fx, scratch) * sx * sw;
   }
 
-  // The historical scalar arm_sum, re-derived from first principles (grid
-  // wavelengths, Q, ER) rather than from the class internals.
-  double ref_arm_sum(std::span<const double> a, std::span<const double> detune,
-                     bool crosstalk) const {
+  /// The historical arm sum (before D rows): each channel's power starts
+  /// from a[i] and multiplies the ring factors in, and the two arms are
+  /// summed separately — re-derived from the Lorentzian, not the tables.
+  double historical_arm_sum(std::span<const double> a, std::span<const double> shift,
+                            bool crosstalk) const {
     const std::size_t len = a.size();
     double sum = 0.0;
-    if (crosstalk) {
-      for (std::size_t i = 0; i < len; ++i) {
-        double power = a[i];
-        if (power == 0.0) continue;
-        for (std::size_t j = 0; j < len; ++j) {
-          const double d = (lambda_[i] - lambda_[j]) + detune[j];
-          power *= 1.0 - full_ * delta_sq_[j] / (d * d + delta_sq_[j]);
-        }
-        sum += power;
+    for (std::size_t i = 0; i < len; ++i) {
+      if (!crosstalk) {
+        sum += a[i] * ref_.lorentzian(shift[i], i);
+        continue;
       }
-    } else {
-      for (std::size_t i = 0; i < len; ++i) {
-        const double d = detune[i];
-        sum += a[i] * (1.0 - full_ * delta_sq_[i] / (d * d + delta_sq_[i]));
+      double power = a[i];
+      if (power == 0.0) continue;
+      for (std::size_t j = 0; j < len; ++j) {
+        power *= ref_.lorentzian((ref_.lambda(i) - ref_.lambda(j)) + shift[j], j);
       }
+      sum += power;
     }
     return sum;
   }
 
-  // The historical single-pass vdp_dot (pre-kernel-layer), verbatim algorithm.
-  double ref_vdp_dot(std::span<const double> a_mag,
-                     std::span<const double> detune,
-                     std::span<const unsigned char> neg, bool crosstalk,
-                     const photonics::VdpEffects* effects) const {
-    const double* drift = nullptr;
-    double noise_std = 0.0;
-    if (effects != nullptr && effects->active()) {
-      if (!effects->ring_drift_nm.empty()) drift = effects->ring_drift_nm.data();
-      noise_std = effects->noise_std;
-    }
-    const auto bits_of = [](double v) {
-      std::uint64_t b;
-      std::memcpy(&b, &v, sizeof(b));
-      return b;
-    };
-    std::vector<double> dp(kBank);
-    std::vector<double> dn(kBank);
-    const std::size_t total = a_mag.size();
-    double acc = 0.0;
-    for (std::size_t start = 0; start < total; start += kBank) {
-      const std::size_t len = std::min(kBank, total - start);
-      for (std::size_t j = 0; j < len; ++j) {
-        const double d = detune[start + j];
-        const double dr = drift == nullptr ? 0.0 : drift[j];
-        if (neg[start + j]) {
-          dp[j] = drift == nullptr ? 0.0 : -dr;
-          dn[j] = d - dr;
-        } else {
-          dp[j] = d - dr;
-          dn[j] = drift == nullptr ? 0.0 : -dr;
-        }
-      }
-      const auto am = a_mag.subspan(start, len);
-      double partial = ref_arm_sum(am, {dp.data(), len}, crosstalk) -
-                       ref_arm_sum(am, {dn.data(), len}, crosstalk);
-      if (noise_std > 0.0) {
-        std::uint64_t key =
-            hash_combine(effects->noise_seed, static_cast<std::uint64_t>(start));
-        for (std::size_t j = 0; j < len; ++j) {
-          key = hash_combine(key, bits_of(a_mag[start + j]));
-          key = hash_combine(
-              key, bits_of(detune[start + j]) ^ (neg[start + j] ? ~0ULL : 0ULL));
-        }
-        partial += noise_std * std::sqrt(2.0 * static_cast<double>(len)) *
-                   hash_gaussian(key);
-      }
-      const double norm = static_cast<double>(len);
-      acc += (lut_.quantizer().quantize(std::abs(partial) / norm) * norm) *
-             (partial < 0.0 ? -1.0 : 1.0);
-    }
-    return acc;
-  }
-
   photonics::WavelengthGrid grid_;
   photonics::MrBankTransferLut lut_;
-  std::vector<double> lambda_;
-  std::vector<double> delta_sq_;
-  double full_ = 0.0;
+  xl::testing::VdpReference ref_;
 };
 
-TEST_F(VdpDotParity, MatchesReferenceAcrossEffectCombinations) {
+// The D-row contract changes the rounding order of every chunk partial. The
+// change stays within c * n * eps * sum_i a_i (P_i + N_i) of the historical
+// order (first-order error of both orders, c = 4), for every chunk length,
+// sign pattern, drift and crosstalk setting.
+TEST_F(VdpDatapath, PartialsStayWithinRoundingBoundOfHistoricalOrder) {
   Rng rng(808);
-  photonics::VdpScratch scratch;
+  const KernelTable& kt = active_table();
+  std::vector<double> drift(kBank);
+  for (double& d : drift) d = rng.uniform(-0.02, 0.02);
+  constexpr double kEps = 0x1.0p-52;
+  std::size_t differ = 0;
+  std::size_t total = 0;
+  for (int rep = 0; rep < 40; ++rep) {
+    for (std::size_t len = 1; len <= kBank; ++len) {
+      const auto a = random_vec(rng, len, 0.0, 1.0, 0.15);
+      std::vector<double> det(len);
+      std::vector<unsigned char> sel(len);
+      for (std::size_t j = 0; j < len; ++j) {
+        det[j] = ref_.detune(j, static_cast<std::uint32_t>(rng.uniform_int(0, 255)));
+        sel[j] = rng.bernoulli(0.5) ? 1 : 0;
+      }
+      for (const bool crosstalk : {false, true}) {
+        for (const bool with_drift : {false, true}) {
+          photonics::VdpEffects fx;
+          if (with_drift) fx.ring_drift_nm = drift;
+          const std::size_t arm = lut_.arm_table_elems(len, crosstalk);
+          std::vector<double> carry(arm);
+          std::vector<double> idle(arm);
+          lut_.build_carry_table(det, crosstalk, &fx, carry.data());
+          lut_.build_idle_table(len, crosstalk, &fx, idle.data());
+          std::vector<double> d(len);
+          if (crosstalk) {
+            kt.d_row_xtalk(sel.data(), carry.data(), idle.data(), len, d.data());
+          } else {
+            kt.d_row_diag(sel.data(), carry.data(), idle.data(), len, d.data());
+          }
+          double got = 0.0;
+          for (std::size_t i = 0; i < len; ++i) got += a[i] * d[i];
+
+          std::vector<double> pos(len);
+          std::vector<double> neg(len);
+          for (std::size_t j = 0; j < len; ++j) {
+            const double dr = with_drift ? drift[j] : 0.0;
+            pos[j] = sel[j] ? -dr : det[j] - dr;
+            neg[j] = sel[j] ? det[j] - dr : -dr;
+          }
+          const double historical = historical_arm_sum(a, pos, crosstalk) -
+                                    historical_arm_sum(a, neg, crosstalk);
+          // sum_i a_i (P_i + N_i) from the same tables.
+          double mass = 0.0;
+          for (std::size_t i = 0; i < len; ++i) {
+            double p = 1.0;
+            double n = 1.0;
+            for (std::size_t j = 0; j < (crosstalk ? len : 1); ++j) {
+              const std::size_t t = crosstalk ? j * len + i : i;
+              const bool s = crosstalk ? sel[j] != 0 : sel[i] != 0;
+              p *= s ? idle[t] : carry[t];
+              n *= s ? carry[t] : idle[t];
+            }
+            mass += a[i] * (p + n);
+          }
+          const double bound = 4.0 * static_cast<double>(len) * kEps * mass;
+          EXPECT_LE(std::abs(got - historical), bound)
+              << "rep=" << rep << " len=" << len << " xtalk=" << crosstalk
+              << " drift=" << with_drift;
+          differ += got != historical ? 1 : 0;
+          total += 1;
+        }
+      }
+    }
+  }
+  std::printf("[vdp] %zu of %zu partials moved off the historical order\n", differ,
+              total);
+}
+
+TEST_F(VdpDatapath, MatchesIndependentReferenceAcrossEffectCombinations) {
+  Rng rng(909);
   std::vector<double> drift(kBank);
   for (double& d : drift) d = rng.uniform(-0.02, 0.02);
   // total = 21: two full chunks + a ragged 5-element tail.
   const std::size_t total = 21;
-  for (int rep = 0; rep < 4; ++rep) {
-    std::vector<double> a_mag = random_vec(rng, total, 0.0, 1.0, 0.15);
-    std::vector<double> detune = random_vec(rng, total, 0.0, 0.15);
-    std::vector<unsigned char> neg(total);
-    for (auto& nb : neg) nb = rng.bernoulli(0.5) ? 1 : 0;
+  for (int rep = 0; rep < 6; ++rep) {
+    const auto x = random_vec(rng, total, rep % 2 == 0 ? -1.0 : 0.0, 1.0, 0.15);
+    const auto w = random_vec(rng, total, -1.0, 1.0, 0.15);
     for (const bool crosstalk : {false, true}) {
       for (const bool with_drift : {false, true}) {
         for (const double noise_std : {0.0, 0.05}) {
@@ -454,14 +390,77 @@ TEST_F(VdpDotParity, MatchesReferenceAcrossEffectCombinations) {
           fx.noise_seed = 0xC0FFEE;
           const photonics::VdpEffects* fxp =
               (with_drift || noise_std > 0.0) ? &fx : nullptr;
-          const double got =
-              lut_.vdp_dot(a_mag, detune, neg, crosstalk, scratch, fxp);
-          const double want = ref_vdp_dot(a_mag, detune, neg, crosstalk, fxp);
-          EXPECT_EQ(got, want)
+          EXPECT_EQ(lut_dot(x, w, crosstalk, fxp), ref_.dot(x, w, crosstalk, fxp))
               << "rep=" << rep << " xtalk=" << crosstalk
               << " drift=" << with_drift << " noise=" << noise_std;
         }
       }
+    }
+  }
+}
+
+// The library's sign-free D rows equal the reference's Lorentzian products
+// bit for bit (ring order, first factor first), for every chunk length —
+// the requantized outputs alone would hide a few-ulp change here.
+TEST_F(VdpDatapath, DRowsMatchLorentzianProducts) {
+  Rng rng(1313);
+  std::vector<double> drift(kBank);
+  for (double& d : drift) d = rng.uniform(-0.02, 0.02);
+  const std::size_t total = 21;  // Chunks of 8, 8, 5.
+  for (int rep = 0; rep < 6; ++rep) {
+    std::vector<double> det(total);
+    std::vector<unsigned char> w_neg(total);
+    for (std::size_t i = 0; i < total; ++i) {
+      det[i] = ref_.detune(i % kBank, static_cast<std::uint32_t>(rng.uniform_int(0, 255)));
+      w_neg[i] = rng.bernoulli(0.5) ? 1 : 0;
+    }
+    for (const bool crosstalk : {false, true}) {
+      for (const bool with_drift : {false, true}) {
+        photonics::VdpEffects fx;
+        if (with_drift) fx.ring_drift_nm = drift;
+        const std::size_t arm = lut_.arm_table_elems(total, crosstalk);
+        std::vector<double> carry(arm);
+        std::vector<double> idle(arm);
+        std::vector<double> d(total);
+        lut_.build_carry_table(det, crosstalk, &fx, carry.data());
+        lut_.build_idle_table(total, crosstalk, &fx, idle.data());
+        lut_.build_d_row(w_neg.data(), total, crosstalk, carry.data(), idle.data(),
+                         d.data());
+        for (std::size_t start = 0; start < total; start += kBank) {
+          const std::size_t len = std::min(kBank, total - start);
+          const std::vector<bool> sel(w_neg.begin() + static_cast<std::ptrdiff_t>(start),
+                                      w_neg.begin() + static_cast<std::ptrdiff_t>(start + len));
+          const std::vector<double> want =
+              ref_.chunk_d({det.data() + start, len}, sel, crosstalk,
+                           with_drift ? drift.data() : nullptr);
+          for (std::size_t i = 0; i < len; ++i) {
+            EXPECT_EQ(d[start + i], want[i]) << "rep=" << rep << " xtalk=" << crosstalk
+                                             << " drift=" << with_drift
+                                             << " i=" << start + i;
+          }
+        }
+      }
+    }
+  }
+}
+
+// A chunk flagged as holding a negative activation forms its D on the fly
+// from the same tables; with sign-free activations that D must equal the
+// cached sign-free row bit for bit.
+TEST_F(VdpDatapath, OnTheFlyDEqualsCachedDForSignFreeChunks) {
+  Rng rng(1212);
+  std::vector<double> drift(kBank);
+  for (double& d : drift) d = rng.uniform(-0.02, 0.02);
+  photonics::VdpEffects fx;
+  fx.ring_drift_nm = drift;
+  fx.noise_std = 0.05;
+  fx.noise_seed = 7;
+  for (int rep = 0; rep < 8; ++rep) {
+    const auto x = random_vec(rng, 19, 0.0, 1.0, 0.2);
+    const auto w = random_vec(rng, 19, -1.0, 1.0, 0.2);
+    for (const bool crosstalk : {false, true}) {
+      EXPECT_EQ(lut_dot(x, w, crosstalk, &fx, true), lut_dot(x, w, crosstalk, &fx))
+          << "rep=" << rep << " xtalk=" << crosstalk;
     }
   }
 }
