@@ -1,40 +1,25 @@
 // bench_hotpath — the zero-allocation steady-state contract of the planned
-// engine plus the serving dispatch modes, tracked per PR as
-// BENCH_hotpath.json.
+// engine, tracked per PR as BENCH_hotpath.json.
 //
-// Three measurements over the Table I proxy MLP with the full effect stack:
+// The shard inner loop in isolation, over the Table I proxy MLP with the
+// full effect stack: {reset_effects; infer_views} over a fixed max-batch of
+// samples on the cached ExecutionPlan, under the operator-new interposer
+// (numerics/alloc_counter.hpp) after one warm-up iteration. The contract is
+// EXACTLY zero heap allocations per request and zero arena regrows in steady
+// state, and the same logits as infer_batch. End-to-end serving latency
+// (submit, queue and service time) is measured by xlbench's serve-open
+// workload.
 //
-//   * engine — the shard inner loop in isolation: {reset_effects;
-//     infer_views} over a fixed max-batch of samples on the cached
-//     ExecutionPlan, under the operator-new interposer
-//     (numerics/alloc_counter.hpp) after one warm-up iteration; the
-//     acceptance contract is EXACTLY zero heap allocations per request in
-//     steady state, and the same logits as infer_batch.
-//
-//   * serving — the full single-worker runtime (submit -> queue -> batcher ->
-//     shard -> future) over the canonical mixed-size burst trace, in thread
-//     mode and with use_executor on (drain tasks on the xl::exec pool instead
-//     of a dedicated worker thread). Logits must be bit-identical across both
-//     arms.
-//
-//   * dispatch latency — sequential lone 1-sample requests with deadline 0:
-//     p50/p99 of submit -> get in thread mode vs executor mode. Gated as
-//     threads/executor ratios (higher = executor dispatches faster); the
-//     executor's inline dispatch removes the cross-thread wakeup from the
-//     lone-request tail.
-//
-// The JSON carries a top-level "metrics" object of machine-portable numbers
-// (ratios and the alloc count — never absolute times), gated by
+// The JSON carries a top-level "metrics" object gated by
 // tools/check_bench_regression.py against bench/baselines/BENCH_hotpath.json;
 // "allocs_per_request" is hard-gated to zero regardless of baseline.
 //
-// Exit status: non-zero when a steady-state allocation is observed or logits
-// diverge between paths.
+// Exit status: non-zero when a steady-state allocation or arena regrow is
+// observed, or the logits diverge from infer_batch.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <future>
 #include <string>
 #include <vector>
 
@@ -42,11 +27,9 @@
 #include "core/effects.hpp"
 #include "core/execution_plan.hpp"
 #include "core/photonic_inference.hpp"
-#include "dnn/datasets.hpp"
 #include "dnn/models.hpp"
 #include "numerics/alloc_counter.hpp"
 #include "numerics/rng.hpp"
-#include "serve/serving_runtime.hpp"
 
 namespace {
 
@@ -59,10 +42,6 @@ using Clock = std::chrono::steady_clock;
 
 constexpr std::size_t kMaxBatch = 8;
 constexpr std::size_t kEngineIters = 60;
-constexpr std::size_t kRequests = 96;
-constexpr std::size_t kServingRepeats = 3;
-constexpr std::size_t kLatencyRequests = 64;
-constexpr std::size_t kLatencyRepeats = 3;
 
 double elapsed_us(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double, std::micro>(to - from).count();
@@ -128,99 +107,6 @@ EngineResult run_engine(const Tensor& batch) {
   return r;
 }
 
-struct ServingResult {
-  double wall_us = 0.0;
-  double requests_per_s = 0.0;
-  double samples_per_s = 0.0;
-  double checksum = 0.0;
-  std::vector<Tensor> logits;
-};
-
-ServingResult run_serving(xl::dnn::Network& prototype,
-                          const std::vector<Tensor>& trace, bool use_executor) {
-  using namespace xl;
-  serve::ServingOptions options;
-  options.workers = 1;
-  options.max_batch = kMaxBatch;
-  options.deadline_us = 200.0;
-  options.use_executor = use_executor;
-
-  serve::ServingRuntime runtime(full_effects_vdp(), options);
-  runtime.register_model(serve::table1_proxy_served_model(prototype));
-  runtime.start();
-
-  ServingResult best;
-  for (std::size_t repeat = 0; repeat < kServingRepeats; ++repeat) {
-    const auto t0 = serve::Clock::now();
-    std::vector<std::future<serve::InferResult>> futures;
-    futures.reserve(trace.size());
-    for (const Tensor& input : trace) {
-      futures.push_back(runtime.submit("table1-proxy-mlp", input));
-    }
-    ServingResult r;
-    std::size_t samples = 0;
-    r.logits.reserve(trace.size());
-    for (auto& future : futures) {
-      serve::InferResult res = future.get();
-      samples += res.logits.dim(0);
-      for (std::size_t j = 0; j < res.logits.numel(); ++j) {
-        r.checksum += static_cast<double>(res.logits[j]);
-      }
-      r.logits.push_back(std::move(res.logits));
-    }
-    r.wall_us = elapsed_us(t0, serve::Clock::now());
-    r.requests_per_s = static_cast<double>(trace.size()) * 1e6 / r.wall_us;
-    r.samples_per_s = static_cast<double>(samples) * 1e6 / r.wall_us;
-    // Best of N: queue scheduling jitter only ever slows a run down.
-    if (best.wall_us == 0.0 || r.wall_us < best.wall_us) best = std::move(r);
-  }
-  runtime.stop();
-  return best;
-}
-
-struct LatencyResult {
-  double p50_us = 0.0;
-  double p99_us = 0.0;
-};
-
-/// Single-request dispatch latency: sequential submit -> get over lone
-/// one-sample requests with deadline 0, so each measured interval is queue
-/// wakeup + dispatch + one planned inference — the exact path the executor
-/// rework targets (no batching, no pipelining to hide the wakeup).
-LatencyResult run_dispatch_latency(xl::dnn::Network& prototype,
-                                   bool use_executor) {
-  using namespace xl;
-  serve::ServingOptions options;
-  options.workers = 1;
-  options.max_batch = kMaxBatch;
-  options.deadline_us = 0.0;
-  options.use_executor = use_executor;
-
-  serve::ServingRuntime runtime(full_effects_vdp(), options);
-  runtime.register_model(serve::table1_proxy_served_model(prototype));
-  runtime.start();
-
-  const Tensor lone = make_batch(1);
-  for (std::size_t i = 0; i < 4; ++i) {  // Warm plan + thread/lane caches.
-    runtime.submit("table1-proxy-mlp", lone).get();
-  }
-  LatencyResult best;
-  for (std::size_t repeat = 0; repeat < kLatencyRepeats; ++repeat) {
-    std::vector<double> latencies;
-    latencies.reserve(kLatencyRequests);
-    for (std::size_t i = 0; i < kLatencyRequests; ++i) {
-      const auto t0 = Clock::now();
-      runtime.submit("table1-proxy-mlp", lone).get();
-      latencies.push_back(elapsed_us(t0, Clock::now()));
-    }
-    const auto [p50, p99] = serve::latency_p50_p99_us(std::move(latencies));
-    // Best of N by p50: scheduling jitter only ever slows a run down.
-    if (best.p50_us == 0.0 || p50 < best.p50_us) best = {p50, p99};
-  }
-  runtime.stop();
-  return best;
-}
-
 bool bit_identical(const Tensor& a, const Tensor& b) {
   return a.numel() == b.numel() &&
          std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) == 0;
@@ -231,14 +117,14 @@ bool bit_identical(const Tensor& a, const Tensor& b) {
 int main(int argc, char** argv) {
   using namespace xl;
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_hotpath.json";
-  bool pass = true;
 
   // --- Engine-level steady state -----------------------------------------
   const Tensor batch = make_batch(kMaxBatch);
   const EngineResult planned = run_engine(batch);
   const bool engine_identical =
       bit_identical(planned.infer_batch_logits, planned.last_logits);
-  const bool zero_alloc = planned.allocs_per_request == 0.0;
+  const bool pass = engine_identical && planned.allocs_per_request == 0.0 &&
+                   planned.arena_regrows == 0;
 
   std::printf("engine (batch %zu, full effects, %zu iters):\n", kMaxBatch,
               kEngineIters);
@@ -248,50 +134,6 @@ int main(int argc, char** argv) {
               planned.arena_regrows);
   std::printf("  logits bit-identical to infer_batch: %s\n",
               engine_identical ? "yes" : "NO");
-  pass = pass && engine_identical && zero_alloc;
-
-  // --- Serving throughput (single worker) --------------------------------
-  dnn::Network prototype = make_proxy();
-  const dnn::Dataset data =
-      dnn::generate_classification(dnn::table1_proxy_task(), 64, /*salt=*/3);
-  const std::vector<Tensor> trace =
-      serve::make_mixed_size_trace(data, kRequests, kMaxBatch);
-  const ServingResult serve_threads = run_serving(prototype, trace, false);
-  const ServingResult serve_executor = run_serving(prototype, trace, true);
-  const double executor_speedup = serve_threads.wall_us / serve_executor.wall_us;
-  bool executor_identical =
-      serve_threads.logits.size() == serve_executor.logits.size();
-  for (std::size_t i = 0; executor_identical && i < serve_threads.logits.size();
-       ++i) {
-    executor_identical =
-        bit_identical(serve_threads.logits[i], serve_executor.logits[i]);
-  }
-
-  std::printf("\nserving (1 worker, %zu mixed-size requests, best of %zu):\n",
-              kRequests, kServingRepeats);
-  std::printf("  threads : %8.0f samples/s (%.0f req/s)\n",
-              serve_threads.samples_per_s, serve_threads.requests_per_s);
-  std::printf("  executor: %8.0f samples/s (%.0f req/s) -> %.2fx vs threads\n",
-              serve_executor.samples_per_s, serve_executor.requests_per_s,
-              executor_speedup);
-  std::printf("  logits bit-identical: %s\n", executor_identical ? "yes" : "NO");
-  pass = pass && executor_identical;
-
-  // --- Single-request dispatch latency -----------------------------------
-  const LatencyResult lat_threads = run_dispatch_latency(prototype, false);
-  const LatencyResult lat_executor = run_dispatch_latency(prototype, true);
-  // Gated as ratios (threads / executor; higher = executor dispatches
-  // faster) — absolute microseconds are machine-bound and informational.
-  const double lat_p50_ratio = lat_threads.p50_us / lat_executor.p50_us;
-  const double lat_p99_ratio = lat_threads.p99_us / lat_executor.p99_us;
-  std::printf("\ndispatch latency (1 worker, lone 1-sample requests, "
-              "deadline 0, best of %zu x %zu):\n",
-              kLatencyRepeats, kLatencyRequests);
-  std::printf("  threads : p50 %8.1f us | p99 %8.1f us\n", lat_threads.p50_us,
-              lat_threads.p99_us);
-  std::printf("  executor: p50 %8.1f us | p99 %8.1f us -> %.2fx / %.2fx\n",
-              lat_executor.p50_us, lat_executor.p99_us, lat_p50_ratio,
-              lat_p99_ratio);
 
   // --- JSON ---------------------------------------------------------------
   api::JsonWriter writer;
@@ -300,24 +142,13 @@ int main(int argc, char** argv) {
   writer.field("effects", "all");
   writer.field("max_batch", kMaxBatch);
   writer.field("engine_iters", kEngineIters);
-  writer.field("requests", kRequests);
   writer.field("engine_us_per_batch_planned", planned.us_per_batch);
-  writer.field("serving_samples_per_s_threads", serve_threads.samples_per_s);
-  writer.field("serving_samples_per_s_executor", serve_executor.samples_per_s);
   writer.field("engine_logits_bit_identical", engine_identical);
-  writer.field("executor_logits_bit_identical", executor_identical);
   writer.field("arena_regrows_steady_state", planned.arena_regrows);
-  writer.field("dispatch_p50_us_threads", lat_threads.p50_us);
-  writer.field("dispatch_p99_us_threads", lat_threads.p99_us);
-  writer.field("dispatch_p50_us_executor", lat_executor.p50_us);
-  writer.field("dispatch_p99_us_executor", lat_executor.p99_us);
-  // Machine-portable gated metrics: ratios of same-machine runs plus the
-  // hard-zero allocation count (see tools/check_bench_regression.py).
+  // Gated metric: the hard-zero allocation count (see
+  // tools/check_bench_regression.py).
   writer.begin_object("metrics");
   writer.field("allocs_per_request", planned.allocs_per_request);
-  writer.field("serving_speedup_executor_vs_threads", executor_speedup);
-  writer.field("latency_p50_executor_vs_threads", lat_p50_ratio);
-  writer.field("latency_p99_executor_vs_threads", lat_p99_ratio);
   writer.end_object();
 
   std::ofstream out(out_path);

@@ -58,16 +58,19 @@ ReplayOutcome replay(xl::api::Session& session, std::size_t nodes,
   coordinator->register_model({serve::ServedModel{"proxy-a", &proxy_a,
                                                   [] { return make_proxy(21); },
                                                   {1, 1, 12, 12},
+                                                  {},
                                                   {}},
                                /*model_parallel=*/false});
   coordinator->register_model({serve::ServedModel{"proxy-b", &proxy_b,
                                                   [] { return make_proxy(77); },
                                                   {1, 1, 12, 12},
+                                                  {},
                                                   {}},
                                /*model_parallel=*/false});
   coordinator->register_model({serve::ServedModel{"proxy-mp", &proxy_mp,
                                                   [] { return make_proxy(33); },
                                                   {1, 1, 12, 12},
+                                                  {},
                                                   {}},
                                /*model_parallel=*/true});
   coordinator->start();
@@ -106,6 +109,7 @@ ReplayOutcome replay(xl::api::Session& session, std::size_t nodes,
   inheritor->register_model({serve::ServedModel{"proxy-a", &proxy_a,
                                                 [] { return make_proxy(21); },
                                                 {1, 1, 12, 12},
+                                                {},
                                                 {}},
                              false});
   inheritor->start();

@@ -3,8 +3,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "core/dse_engine.hpp"
-
 namespace xl::core {
 
 bool dse_point_less(const DsePoint& a, const DsePoint& b) noexcept {
@@ -72,35 +70,6 @@ void DseSweep::validate() const {
   }
   for (const EffectConfig& fx : effects) fx.validate();
   base.validate();
-}
-
-std::vector<DsePoint> run_dse(const DseSweep& sweep,
-                              const std::vector<xl::dnn::ModelSpec>& models) {
-  // The built-in evaluator is stateless, so the wrapper keeps the engine's
-  // parallel default; results are bit-identical to a serial run.
-  DseEngine engine;
-  return engine.run(sweep, models).points;
-}
-
-std::vector<DsePoint> run_dse(const DseSweep& sweep,
-                              const std::vector<xl::dnn::ModelSpec>& models,
-                              const DseEvaluator& evaluate) {
-  if (!evaluate) throw std::invalid_argument("run_dse: null evaluator");
-  // Legacy custom evaluators never promised thread safety: run serial.
-  DseEngine::Options options;
-  options.parallel = false;
-  DseEngine engine(options);
-  return engine
-      .run(sweep, models,
-           [&evaluate](const DseCandidate& c, const xl::dnn::ModelSpec& model) {
-             return evaluate(c.config, model);
-           })
-      .points;
-}
-
-const DsePoint& best_point(const std::vector<DsePoint>& points) {
-  if (points.empty()) throw std::invalid_argument("best_point: empty sweep");
-  return points.front();
 }
 
 }  // namespace xl::core

@@ -2,24 +2,22 @@
 //
 // For every candidate configuration the four Table I models are evaluated;
 // the selected design maximizes FPS/EPB (the paper's criterion), which for
-// the paper lands on (20, 150, 100, 60). The sweep is parameterized over an
-// evaluator callback so higher layers (api::Session) can route every
-// candidate through a registry backend instead of a hand-wired accelerator.
+// the paper lands on (20, 150, 100, 60).
 //
-// Beyond the paper's fixed grid, DseSweep carries scenario-diversity axes
-// (architecture variants, datapath resolutions, area budgets, non-ideality
-// configurations); the parallel engine that walks the expanded grid lives in
-// core/dse_engine.hpp. The run_dse entry points below remain as thin,
-// backward-compatible wrappers over that engine.
+// This header holds the sweep description (DseSweep), its result rows
+// (DsePoint) and their ranking. Beyond the paper's fixed grid, DseSweep
+// carries scenario-diversity axes (architecture variants, datapath
+// resolutions, area budgets, non-ideality configurations). The one entry
+// point that walks the expanded grid is DseEngine::run in
+// core/dse_engine.hpp; its evaluator callback lets higher layers
+// (api::Session) route every candidate through a registry backend.
 #pragma once
 
-#include <functional>
+#include <cstddef>
 #include <vector>
 
-#include "core/accelerator.hpp"
 #include "core/config.hpp"
 #include "core/effects.hpp"
-#include "dnn/layer_spec.hpp"
 
 namespace xl::core {
 
@@ -50,7 +48,7 @@ struct DsePoint {
 /// Strict total order used to rank sweep results: FPS/EPB descending, ties
 /// broken by ascending (N, K, n, m), then (variant, resolution, budget,
 /// candidate id). Total by construction — candidate ids are unique — so the
-/// ranking (and best_point) is identical across stdlib std::sort
+/// ranking (and DseResult::best) is identical across stdlib std::sort
 /// implementations and thread counts.
 [[nodiscard]] bool dse_point_less(const DsePoint& a, const DsePoint& b) noexcept;
 
@@ -92,28 +90,5 @@ struct DseSweep {
   /// non-positive area budgets, or invalid effect/base configurations.
   void validate() const;
 };
-
-/// Produces the report of one (configuration, model) evaluation. The sweep
-/// only reads perf.fps, epb_pj(), power, and area_mm2 from it.
-using DseEvaluator =
-    std::function<AcceleratorReport(const ArchitectureConfig&, const xl::dnn::ModelSpec&)>;
-
-/// Run the sweep over the given model zoo; results ranked by dse_point_less.
-/// Evaluates with CrossLightAccelerator (executor-parallel; bit-identical to
-/// the serial path). Degenerate evaluations are dropped from the ranking —
-/// retrieve them via DseEngine::run if needed. Throws std::invalid_argument
-/// on invalid sweeps, including a budget that rejects every candidate.
-[[nodiscard]] std::vector<DsePoint> run_dse(const DseSweep& sweep,
-                                            const std::vector<xl::dnn::ModelSpec>& models);
-
-/// Same sweep with a custom evaluator (e.g. an api registry backend). The
-/// evaluator is not assumed thread-safe, so candidates run serially; use
-/// DseEngine directly for parallel sweeps over thread-safe evaluators.
-[[nodiscard]] std::vector<DsePoint> run_dse(const DseSweep& sweep,
-                                            const std::vector<xl::dnn::ModelSpec>& models,
-                                            const DseEvaluator& evaluate);
-
-/// Highest-ranked point under dse_point_less (throws on empty results).
-[[nodiscard]] const DsePoint& best_point(const std::vector<DsePoint>& points);
 
 }  // namespace xl::core

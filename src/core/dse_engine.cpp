@@ -170,7 +170,7 @@ const DsePoint& DseResult::best() const {
         "DseResult::best: every candidate evaluated degenerate (" +
         std::to_string(rejected.size()) + " rejected)");
   }
-  throw std::invalid_argument("best_point: empty sweep");
+  throw std::invalid_argument("DseResult::best: no points (empty result)");
 }
 
 std::vector<DsePoint> pareto_front(const std::vector<DsePoint>& points) {
@@ -416,8 +416,8 @@ std::size_t DseEngine::import_memo(const DseMemo& memo) {
 DseResult DseEngine::run(const DseSweep& sweep,
                          const std::vector<xl::dnn::ModelSpec>& models,
                          const DseCandidateEvaluator& evaluate) {
-  if (models.empty()) throw std::invalid_argument("run_dse: no models");
-  if (!evaluate) throw std::invalid_argument("run_dse: null evaluator");
+  if (models.empty()) throw std::invalid_argument("DseEngine::run: no models");
+  if (!evaluate) throw std::invalid_argument("DseEngine::run: null evaluator");
 
   DseResult result;
   const std::vector<DseCandidate> admitted =

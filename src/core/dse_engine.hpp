@@ -19,7 +19,9 @@
 #include <utility>
 #include <vector>
 
+#include "core/accelerator.hpp"
 #include "core/dse.hpp"
+#include "dnn/layer_spec.hpp"
 
 namespace xl::core {
 

@@ -3,8 +3,7 @@
 //
 // Why it exists: PR 6/8 removed compute and allocator overhead from the
 // hot path, but every inference still paid fork-join setup and barrier
-// cost per GEMM region, and serve/fleet parked one dedicated OS
-// thread per component. This pool is created once per process (or per
+// cost per GEMM region. This pool is created once per process (or per
 // test scope), keeps its workers parked on a condvar parking lot between
 // bursts, and exposes two primitives:
 //
@@ -20,9 +19,11 @@
 //     also the memory barrier: all tile writes happen-before the return.
 //   * submit_blocking(fn) — the blocking lane. Runs fn on a cached
 //     service thread (grown on demand, parked when idle, reused across
-//     runtimes/nodes) for loops that sleep or block on I/O, pacing, or
-//     condition variables. Blocking tasks never occupy a CPU lane, so a
-//     serve drain waiting out a batching deadline cannot starve a GEMM.
+//     fleet nodes) for loops that block on a transport receive or a
+//     condition variable — the fleet node's pump, halo and completer
+//     loops. Blocking tasks never occupy a CPU lane, so a loop parked
+//     waiting for a frame cannot starve a GEMM. The serving runtime runs
+//     dedicated per-shard worker threads and does not use this lane.
 //
 // Distribution (deterministic decomposition, dynamic placement): the
 // caller keeps a leading share of tiles for itself and publishes the rest
@@ -99,8 +100,8 @@ class TaskPool {
   explicit TaskPool(std::size_t lanes);
 
   /// Joins CPU workers and blocking-lane threads. Every submit_blocking
-  /// task must have completed (the serve/fleet stop paths wait on their
-  /// handles before tearing the pool down) — a task still blocked inside
+  /// task must have completed (the fleet stop path waits on its handles
+  /// before tearing the pool down) — a task still blocked inside
   /// its body would hang the join, by design: losing it silently would be
   /// worse.
   ~TaskPool();
@@ -118,8 +119,8 @@ class TaskPool {
 
   /// Run fn on a cached blocking-service thread. Returns immediately;
   /// the handle's wait() blocks until fn returned. Threads are grown on
-  /// demand, parked when idle, and reused across submissions — replacing
-  /// the one-std::thread-per-component pattern in serve and fleet.
+  /// demand, parked when idle, and reused across submissions — the fleet
+  /// node runs its service loops here instead of owning std::threads.
   /// Throws std::runtime_error after shutdown began.
   TaskHandle submit_blocking(std::function<void()> fn);
 

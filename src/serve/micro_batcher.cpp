@@ -25,25 +25,15 @@ std::optional<MicroBatch> MicroBatcher::next_batch(RequestQueue& queue) {
   std::lock_guard<std::mutex> formation(formation_mutex_);
   std::optional<PendingRequest> first = queue.pop();
   if (!first) return std::nullopt;  // Closed and drained.
-  return coalesce(queue, std::move(*first));
-}
 
-std::optional<MicroBatch> MicroBatcher::try_next_batch(RequestQueue& queue) {
-  std::lock_guard<std::mutex> formation(formation_mutex_);
-  std::optional<PendingRequest> first = queue.try_pop();
-  if (!first) return std::nullopt;  // Empty right now (or closed+drained).
-  return coalesce(queue, std::move(*first));
-}
-
-MicroBatch MicroBatcher::coalesce(RequestQueue& queue, PendingRequest first) {
   MicroBatch batch;
-  batch.model = first.request.model;
-  batch.rows = first.rows();
+  batch.model = first->request.model;
+  batch.rows = first->rows();
   const Clock::time_point cutoff =
-      first.enqueued_at +
+      first->enqueued_at +
       std::chrono::duration_cast<Clock::duration>(
           std::chrono::duration<double, std::micro>(deadline_us_));
-  batch.requests.push_back(std::move(first));
+  batch.requests.push_back(std::move(*first));
 
   while (batch.rows < max_batch_) {
     std::optional<PendingRequest> next;

@@ -42,22 +42,10 @@ class MicroBatcher {
   /// worker-loop termination signal).
   [[nodiscard]] std::optional<MicroBatch> next_batch(RequestQueue& queue);
 
-  /// Non-blocking variant for executor-mode drain tasks: nullopt when the
-  /// queue is momentarily empty (the drain re-parks instead of blocking a
-  /// pool thread in pop()). Once a first request is claimed, coalescing is
-  /// identical to next_batch — including waiting out the deadline for
-  /// company — so batch shapes match the blocking path under load.
-  [[nodiscard]] std::optional<MicroBatch> try_next_batch(RequestQueue& queue);
-
   [[nodiscard]] std::size_t max_batch() const noexcept { return max_batch_; }
   [[nodiscard]] double deadline_us() const noexcept { return deadline_us_; }
 
  private:
-  /// Shared coalescing tail of both entry points: greedily extend from the
-  /// claimed first request until rows/deadline/model-boundary stops it.
-  /// Caller must hold formation_mutex_.
-  MicroBatch coalesce(RequestQueue& queue, PendingRequest first);
-
   const std::size_t max_batch_;
   const double deadline_us_;
   std::mutex formation_mutex_;  ///< One batch forms at a time.

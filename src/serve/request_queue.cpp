@@ -41,16 +41,6 @@ std::optional<PendingRequest> RequestQueue::pop() {
   return out;
 }
 
-std::optional<PendingRequest> RequestQueue::try_pop() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  if (queue_.empty()) return std::nullopt;
-  PendingRequest out = std::move(queue_.front());
-  queue_.pop_front();
-  lock.unlock();
-  not_full_.notify_one();
-  return out;
-}
-
 RequestQueue::PopSame RequestQueue::try_pop_same(const std::string& model,
                                                 std::size_t max_rows,
                                                 std::optional<PendingRequest>& out) {
@@ -102,11 +92,6 @@ std::vector<PendingRequest> RequestQueue::close_and_drain() {
 bool RequestQueue::closed() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return closed_;
-}
-
-std::size_t RequestQueue::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return queue_.size();
 }
 
 }  // namespace xl::serve

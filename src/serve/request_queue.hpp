@@ -65,11 +65,6 @@ class RequestQueue {
   /// closed and drained (then nullopt).
   [[nodiscard]] std::optional<PendingRequest> pop();
 
-  /// Pop the front request if one is queued; never blocks. nullopt means
-  /// empty (or closed and drained) — the executor-mode batcher's first-pop
-  /// primitive, where drain tasks poll instead of parking in pop().
-  [[nodiscard]] std::optional<PendingRequest> try_pop();
-
   /// Pop the front request only if it is for `model` and carries at most
   /// `max_rows` rows; never blocks.
   PopSame try_pop_same(const std::string& model, std::size_t max_rows,
@@ -92,7 +87,6 @@ class RequestQueue {
   [[nodiscard]] std::vector<PendingRequest> close_and_drain();
 
   [[nodiscard]] bool closed() const;
-  [[nodiscard]] std::size_t size() const;
 
  private:
   const std::size_t capacity_;

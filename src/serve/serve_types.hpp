@@ -79,14 +79,6 @@ struct ServingOptions {
   std::size_t queue_capacity = 4096;  ///< Admission backpressure bound.
   bool pace_hardware_time = false;    ///< Sleep to the simulated makespan.
   double pace_scale = 1.0;            ///< Wall-us slept per simulated us.
-  /// Run shards as demand-dispatched drain tasks on the xl::exec blocking
-  /// lane instead of `workers` dedicated threads parked in queue.pop().
-  /// submit() hands an idle shard its own request directly — for a lone
-  /// request there is no cross-thread queue wakeup on the dispatch path, so
-  /// single-request latency drops. Logits are bit-identical either way (the
-  /// mode changes who runs a batch, never what it computes); `workers` still
-  /// bounds the number of concurrently draining shards.
-  bool use_executor = false;
   core::ArchitectureConfig architecture{};  ///< Drives pacing makespans.
 
   /// Rejects zero workers/max_batch/queue capacity, negative deadline, and

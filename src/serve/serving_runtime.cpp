@@ -51,18 +51,6 @@ void ServingRuntime::start() {
   for (std::size_t i = 0; i < options_.workers; ++i) {
     shards_.push_back(std::make_unique<AcceleratorShard>(i, models_, vdp_, options_));
   }
-  if (options_.use_executor) {
-    // No dedicated threads: shards park in the idle pool and submit()
-    // dispatches them as drain tasks on this executor's blocking lane.
-    pool_ = &exec::current();
-    idle_shards_.clear();
-    idle_shards_.reserve(options_.workers);
-    for (std::size_t i = options_.workers; i > 0; --i) {
-      idle_shards_.push_back(i - 1);  // LIFO pop yields shard 0 first.
-    }
-    started_ = true;
-    return;
-  }
   workers_.reserve(options_.workers);
   try {
     for (std::size_t i = 0; i < options_.workers; ++i) {
@@ -125,35 +113,7 @@ std::future<InferResult> ServingRuntime::submit(const std::string& model,
   if (!queue_.push(std::move(pending))) {
     throw std::runtime_error("ServingRuntime: queue closed during submit()");
   }
-  if (options_.use_executor) {
-    // Hand the request to an idle shard right here on the dispatch path; if
-    // every shard is draining, one of them picks it up before re-parking.
-    std::lock_guard<std::mutex> lock(dispatch_mutex_);
-    maybe_dispatch_locked();
-  }
   return future;
-}
-
-void ServingRuntime::maybe_dispatch_locked() {
-  if (idle_shards_.empty()) return;  // An active drain will claim the work.
-  const std::size_t shard_index = idle_shards_.back();
-  idle_shards_.pop_back();
-  ++active_drains_;
-  pool_->submit_blocking([this, shard_index] { drain_loop(shard_index); });
-}
-
-void ServingRuntime::drain_loop(std::size_t shard_index) {
-  AcceleratorShard& shard = *shards_[shard_index];
-  while (auto batch = batcher_.try_next_batch(queue_)) {
-    shard.execute(std::move(*batch));
-  }
-  std::lock_guard<std::mutex> lock(dispatch_mutex_);
-  idle_shards_.push_back(shard_index);
-  --active_drains_;
-  // A request admitted after our last (empty) poll but before we re-parked
-  // found no idle shard — re-check under the lock so it cannot strand.
-  if (queue_.size() > 0) maybe_dispatch_locked();
-  if (active_drains_ == 0) drains_cv_.notify_all();
 }
 
 void ServingRuntime::stop() {
@@ -164,12 +124,6 @@ void ServingRuntime::stop() {
   // every accepted request is now either inside a micro-batch (a worker
   // finishes it normally below) or in `orphans` — exactly one of the two.
   std::vector<PendingRequest> orphans = queue_.close_and_drain();
-  if (options_.use_executor) {
-    // Drains observe the closed+drained queue on their next poll and park;
-    // wait until the last in-flight batch has completed.
-    std::unique_lock<std::mutex> drains(dispatch_mutex_);
-    drains_cv_.wait(drains, [&] { return active_drains_ == 0; });
-  }
   for (std::thread& worker : workers_) {
     if (worker.joinable()) worker.join();
   }

@@ -14,16 +14,8 @@
 //       (own replica networks + PhotonicInferenceEngines,
 //        own thermal state, own stats; nothing shared)
 //
-// Two execution modes select who the "workers" are:
-//   * thread mode (default): one dedicated std::thread per shard, parked in
-//     the queue's blocking pop between batches.
-//   * executor mode (ServingOptions::use_executor): shards sit in an idle
-//     pool; submit() dispatches an idle shard as a drain task on the
-//     xl::exec blocking lane, which pulls batches until the queue is empty
-//     and re-parks. A lone request is handed to its shard on the dispatch
-//     path with no queue-pop wakeup, cutting single-request latency.
-// The mode changes scheduling only — per-sample logits are bit-identical
-// (tests/test_serving.cpp pins executor vs thread mode).
+// Each worker is one dedicated std::thread per shard, parked in the queue's
+// blocking pop between batches.
 //
 // Determinism contract
 // --------------------
@@ -44,7 +36,6 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <future>
 #include <memory>
@@ -54,7 +45,6 @@
 #include <vector>
 
 #include "core/vdp_simulator.hpp"
-#include "exec/task_pool.hpp"
 #include "serve/micro_batcher.hpp"
 #include "serve/model_repository.hpp"
 #include "serve/request_queue.hpp"
@@ -119,16 +109,6 @@ class ServingRuntime {
  private:
   void worker_loop(AcceleratorShard& shard);
 
-  /// Executor mode: one shard's drain task — pull batches until the queue
-  /// is momentarily empty, then re-park the shard in idle_shards_ (closing
-  /// the submit-raced-with-park window by re-dispatching if the queue
-  /// refilled meanwhile).
-  void drain_loop(std::size_t shard_index);
-
-  /// Executor mode: if a shard is idle, launch its drain task on the pool's
-  /// blocking lane. Caller must hold dispatch_mutex_.
-  void maybe_dispatch_locked();
-
   core::VdpSimOptions vdp_;
   ServingOptions options_;
   ModelRepository models_;
@@ -141,14 +121,6 @@ class ServingRuntime {
   mutable std::mutex lifecycle_mutex_;
   std::atomic<bool> started_{false};
   std::atomic<bool> stopping_{false};
-
-  // Executor mode only. The pool is resolved once at start() so every drain
-  // runs on the same executor regardless of which thread submits.
-  exec::TaskPool* pool_ = nullptr;
-  std::mutex dispatch_mutex_;
-  std::condition_variable drains_cv_;    ///< Signaled when active_drains_ hits 0.
-  std::vector<std::size_t> idle_shards_; ///< Shards awaiting work (LIFO).
-  std::size_t active_drains_ = 0;        ///< Drain tasks in flight.
 };
 
 }  // namespace xl::serve

@@ -8,7 +8,7 @@
 #include "baselines/deap_cnn.hpp"
 #include "baselines/holylight.hpp"
 #include "core/accelerator.hpp"
-#include "core/dse.hpp"
+#include "core/dse_engine.hpp"
 #include "core/photonic_inference.hpp"
 #include "dnn/activations.hpp"
 #include "dnn/conv2d.hpp"
@@ -115,7 +115,7 @@ TEST(ApiParity, SessionDseMatchesCoreDse) {
   sweep.fc_unit_counts = {60};
   const std::vector<dnn::ModelSpec> models{dnn::lenet5_spec()};
 
-  const auto direct = core::run_dse(sweep, models);
+  const auto direct = core::DseEngine{}.run(sweep, models).points;
   api::Session session;
   const auto via_api = session.run_dse(sweep, models).points;
   ASSERT_EQ(via_api.size(), direct.size());

@@ -1,5 +1,5 @@
-// Design-space exploration tests (Fig. 6): the legacy run_dse wrappers and
-// the parallel, memoizing DseEngine behind them.
+// Design-space exploration tests (Fig. 6): the parallel, memoizing
+// DseEngine, the one DSE entry point.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -44,7 +44,7 @@ void expect_points_identical(const std::vector<DsePoint>& a,
 }
 
 TEST(Dse, ProducesSortedPoints) {
-  const auto points = run_dse(small_sweep(), xl::dnn::table1_models());
+  const auto points = DseEngine{}.run(small_sweep(), xl::dnn::table1_models()).points;
   ASSERT_FALSE(points.empty());
   for (std::size_t i = 1; i < points.size(); ++i) {
     EXPECT_GE(points[i - 1].fps_per_epb(), points[i].fps_per_epb());
@@ -52,20 +52,20 @@ TEST(Dse, ProducesSortedPoints) {
 }
 
 TEST(Dse, BestPointIsFront) {
-  const auto points = run_dse(small_sweep(), xl::dnn::table1_models());
-  const DsePoint& best = best_point(points);
-  EXPECT_DOUBLE_EQ(best.fps_per_epb(), points.front().fps_per_epb());
-  EXPECT_THROW((void)best_point({}), std::invalid_argument);
+  const DseResult result = DseEngine{}.run(small_sweep(), xl::dnn::table1_models());
+  const DsePoint& best = result.best();
+  EXPECT_DOUBLE_EQ(best.fps_per_epb(), result.points.front().fps_per_epb());
+  EXPECT_THROW((void)DseResult{}.best(), std::invalid_argument);
 }
 
 TEST(Dse, ImpossibleAreaBudgetThrows) {
   DseSweep sweep = small_sweep();
   sweep.max_area_mm2 = 1.0;  // Impossible budget.
   // A budget that rejects every candidate used to yield an empty result and
-  // a confusing "best_point: empty sweep" throw much later; it is now an
+  // a confusing empty-result throw from best() much later; it is now an
   // immediate, named error.
   try {
-    (void)run_dse(sweep, xl::dnn::table1_models());
+    (void)DseEngine{}.run(sweep, xl::dnn::table1_models());
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("area budget"), std::string::npos) << e.what();
@@ -75,7 +75,7 @@ TEST(Dse, ImpossibleAreaBudgetThrows) {
 TEST(Dse, AllPointsRespectAreaBudget) {
   DseSweep sweep = small_sweep();
   sweep.max_area_mm2 = 30.0;
-  const auto points = run_dse(sweep, xl::dnn::table1_models());
+  const auto points = DseEngine{}.run(sweep, xl::dnn::table1_models()).points;
   for (const auto& p : points) {
     EXPECT_LE(p.area_mm2, 30.0);
   }
@@ -87,7 +87,7 @@ TEST(Dse, PaperConfigurationCompetitive) {
   // serialization costs, mildly favouring larger N — see EXPERIMENTS.md);
   // it must still be competitive: upper half of the sweep and within ~2.5x
   // of the best point's FPS/EPB.
-  const auto points = run_dse(small_sweep(), xl::dnn::table1_models());
+  const auto points = DseEngine{}.run(small_sweep(), xl::dnn::table1_models()).points;
   ASSERT_FALSE(points.empty());
   const auto it = std::find_if(points.begin(), points.end(), [](const DsePoint& p) {
     return p.conv_unit_size == 20 && p.fc_unit_size == 150 && p.conv_units == 100 &&
@@ -106,19 +106,19 @@ TEST(Dse, PaperConfigurationCompetitive) {
 TEST(Dse, OptimumIsInteriorNotMaximal) {
   // Fig. 6's message: FPS/EPB peaks at a mid-size configuration, not at the
   // largest machine. Our sweep's winner must not be the max-area point.
-  const auto points = run_dse(small_sweep(), xl::dnn::table1_models());
-  ASSERT_GT(points.size(), 1u);
+  const DseResult result = DseEngine{}.run(small_sweep(), xl::dnn::table1_models());
+  ASSERT_GT(result.points.size(), 1u);
   double max_area = 0.0;
-  for (const auto& p : points) max_area = std::max(max_area, p.area_mm2);
-  EXPECT_LT(best_point(points).area_mm2, max_area);
+  for (const auto& p : result.points) max_area = std::max(max_area, p.area_mm2);
+  EXPECT_LT(result.best().area_mm2, max_area);
 }
 
 TEST(Dse, RejectsEmptyModelList) {
-  EXPECT_THROW((void)run_dse(small_sweep(), {}), std::invalid_argument);
+  EXPECT_THROW((void)DseEngine{}.run(small_sweep(), {}), std::invalid_argument);
 }
 
 TEST(Dse, PointMetricsPopulated) {
-  const auto points = run_dse(small_sweep(), xl::dnn::table1_models());
+  const auto points = DseEngine{}.run(small_sweep(), xl::dnn::table1_models()).points;
   for (const auto& p : points) {
     EXPECT_GT(p.avg_fps, 0.0);
     EXPECT_GT(p.avg_epb_pj, 0.0);

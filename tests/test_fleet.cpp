@@ -61,16 +61,19 @@ struct Zoo {
     zoo.push_back({serve::ServedModel{"proxy-a", &proxy_a,
                                       [] { return make_proxy(21); },
                                       {1, 1, 12, 12},
+                                      {},
                                       {}},
                    false});
     zoo.push_back({serve::ServedModel{"proxy-b", &proxy_b,
                                       [] { return make_proxy(77); },
                                       {1, 1, 12, 12},
+                                      {},
                                       {}},
                    false});
     zoo.push_back({serve::ServedModel{"proxy-mp", &proxy_mp,
                                       [] { return make_proxy(33); },
                                       {1, 1, 12, 12},
+                                      {},
                                       {}},
                    true});
     return zoo;
@@ -336,7 +339,9 @@ TEST(FleetDse, DistributedSweepBitIdenticalAndWarmUnionReRunIsFree) {
               core::DseEngine::admit(sweep).size() * models.size());
     ASSERT_EQ(cold.node_evaluations.size(), nodes);
     for (const std::size_t paid : cold.node_evaluations) {
-      if (nodes > 1) EXPECT_GT(paid, 0u) << "striping skipped a node";
+      if (nodes > 1) {
+        EXPECT_GT(paid, 0u) << "striping skipped a node";
+      }
       (void)paid;
     }
 

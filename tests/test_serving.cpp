@@ -306,62 +306,6 @@ TEST(RequestQueue, ShutdownWakesAllBlockedProducersAndConsumers) {
   }
 }
 
-// --- executor-mode serving ---------------------------------------------------
-
-// use_executor=true replaces dedicated worker threads with blocking-lane
-// drain tasks on the xl::exec pool. The replay contract is unchanged:
-// logits are bit-identical to thread mode for every worker count.
-TEST(ServingReplay, ExecutorModeBitIdenticalToThreadMode) {
-  dnn::Network prototype = make_proxy();
-  const dnn::Dataset data = proxy_dataset(48);
-  const std::vector<dnn::Tensor> trace = make_trace(data, 48);
-
-  ServingOptions thread_mode;
-  thread_mode.workers = 2;
-  thread_mode.max_batch = 12;
-  thread_mode.deadline_us = 200.0;
-  auto thread_runtime = make_runtime(prototype, thread_mode);
-  thread_runtime->start();
-  const std::vector<dnn::Tensor> reference = replay(*thread_runtime, trace);
-  thread_runtime->stop();
-
-  for (const std::size_t workers : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-    ServingOptions options;
-    options.workers = workers;
-    options.max_batch = 12;
-    options.deadline_us = 200.0;
-    options.use_executor = true;
-    auto runtime = make_runtime(prototype, options);
-    runtime->start();
-    const std::vector<dnn::Tensor> logits = replay(*runtime, trace);
-    runtime->stop();
-    expect_bit_identical(reference, logits, "executor mode");
-    const ServingStats stats = runtime->stats();
-    EXPECT_EQ(stats.requests, trace.size());
-  }
-}
-
-// A lone request in executor mode is executed by a drain task dispatched
-// from submit() itself — no dedicated thread to wake. With deadline 0 the
-// request must complete promptly and stop() must not hang on idle drains.
-TEST(ServingRuntime, ExecutorModeServesLoneRequestAndStopsCleanly) {
-  dnn::Network prototype = make_proxy();
-  ServingOptions options;
-  options.workers = 1;
-  options.max_batch = 8;
-  options.deadline_us = 0.0;
-  options.use_executor = true;
-  auto runtime = make_runtime(prototype, options);
-  runtime->start();
-  const dnn::Dataset data = proxy_dataset(4);
-  const InferResult result =
-      runtime->submit("proxy", dnn::batch_images(data, 0, 1)).get();
-  EXPECT_EQ(result.logits.dim(0), 1u);
-  runtime->stop();
-  // Restartable guarantee is out of scope; stats must still be coherent.
-  EXPECT_EQ(runtime->stats().requests, 1u);
-}
-
 // --- mixed-model traffic ----------------------------------------------------
 
 TEST(ServingRuntime, MixedModelTrafficRoutesAndNeverMixesBatches) {
@@ -542,6 +486,68 @@ TEST(ServingRuntimeTest, StopFailsQueuedRequestsWithShutdownError) {
   EXPECT_EQ(completed + shutdown, futures.size());
   EXPECT_GE(completed, 1u) << "the claimed in-flight request must complete";
   EXPECT_GE(shutdown, 1u) << "the undispatched backlog must fail loudly";
+}
+
+// Shutdown with a producer blocked at capacity: the lone worker is busy
+// (paced) with a lone deadline-0 request, a second request fills the
+// one-slot queue, and a third submit() parks inside the queue's blocking
+// push. stop() must wake that producer (its submit() throws), must return,
+// and must leave every future already handed out resolved: the in-flight
+// request with its logits, the queued one with ShutdownError.
+TEST(ServingRuntimeTest, StopReleasesProducerBlockedAtCapacity) {
+  dnn::Network prototype = make_proxy();
+  ServingOptions options;
+  options.workers = 1;
+  options.max_batch = 1;
+  options.deadline_us = 0.0;
+  options.queue_capacity = 1;
+  // Hardware-time pacing keeps the worker busy with the first request for
+  // about a second, well past the two 50 ms settling sleeps below.
+  options.pace_hardware_time = true;
+  options.pace_scale = 2e7;
+  auto runtime = make_runtime(prototype, options);
+  runtime->start();
+
+  const dnn::Dataset data = proxy_dataset(4);
+  std::vector<std::future<InferResult>> futures;
+  futures.push_back(runtime->submit("proxy", dnn::batch_images(data, 0, 1)));
+  // Give the worker time to claim the first request into its micro-batch.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  futures.push_back(runtime->submit("proxy", dnn::batch_images(data, 1, 1)));
+
+  std::atomic<bool> producer_threw{false};
+  std::atomic<bool> producer_admitted{false};
+  std::thread producer([&] {
+    try {
+      (void)runtime->submit("proxy", dnn::batch_images(data, 2, 1));
+      producer_admitted = true;
+    } catch (const std::runtime_error&) {
+      producer_threw = true;
+    }
+  });
+  // Give the producer time to park in the full queue's push().
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  runtime->stop();
+  producer.join();
+  EXPECT_TRUE(producer_threw) << "the producer blocked at capacity must fail";
+  EXPECT_FALSE(producer_admitted);
+
+  std::size_t completed = 0;
+  std::size_t shutdown = 0;
+  for (auto& future : futures) {
+    ASSERT_EQ(future.wait_for(std::chrono::seconds(0)), std::future_status::ready)
+        << "stop() returned with an unresolved future";
+    try {
+      const InferResult result = future.get();
+      EXPECT_EQ(result.logits.dim(0), 1u);
+      ++completed;
+    } catch (const ShutdownError&) {
+      ++shutdown;
+    }
+  }
+  EXPECT_EQ(completed, 1u) << "the claimed in-flight request must complete";
+  EXPECT_EQ(shutdown, 1u) << "the queued request must fail with ShutdownError";
+  EXPECT_EQ(runtime->stats().requests, 1u);
 }
 
 TEST(ModelRepository, ReplicatesWeightsExactly) {
