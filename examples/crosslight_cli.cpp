@@ -14,7 +14,6 @@
 //                  [--dse] [--top-k <n>] [--budget <mm2>] [--serial]
 //                  [--serve] [--workers <n>] [--max-batch <n>]
 //                  [--deadline-us <us>] [--requests <n>]
-//                  [--fleet-nodes <n>] [--partition <spec>]
 //
 // --scenario loads a workload definition from scenarios/<name>.ini (or an
 // explicit path; $XL_SCENARIO_DIR overrides the corpus directory) and every
@@ -26,7 +25,7 @@
 // outside the "timing" object — see tools/check_scenario_golden.py).
 //
 // Mode selection: [scenario].mode from the file, overridden by --serve /
-// --dse / --fleet-nodes. The functional path is selected (as before) by a
+// --dse. The functional path is selected (as before) by a
 // backend whose capabilities need a real network; plain analytical
 // evaluation keeps its detailed single-model report (with --schedule pool
 // utilization).
@@ -39,7 +38,6 @@
 //   crosslight_cli --backend functional --effects thermal,fpv,noise --json
 //   crosslight_cli --dse --budget 25 --top-k 5 --json
 //   crosslight_cli --serve --workers 4 --max-batch 8 --effects noise --json
-//   crosslight_cli --fleet-nodes 2 --partition hash --requests 32 --json
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -64,8 +62,7 @@ void usage() {
                "                      [--samples n] [--train-epochs n]\n"
                "                      [--dse] [--top-k n] [--budget mm2] [--serial]\n"
                "                      [--serve] [--workers n] [--max-batch n]\n"
-               "                      [--deadline-us us] [--requests n]\n"
-               "                      [--fleet-nodes n] [--partition spec]\n");
+               "                      [--deadline-us us] [--requests n]\n");
 }
 
 // Strictly positive integer flag value; a negative would otherwise wrap to
@@ -216,32 +213,6 @@ void print_serve(const xl::scenario::ScenarioSpec& spec,
               spec.config.vdp.effective_effects().summary().c_str());
 }
 
-void print_fleet(const xl::scenario::ScenarioSpec& spec,
-                 const xl::scenario::ScenarioOutcome& outcome) {
-  using namespace xl;
-  const fleet::FleetStats& stats = outcome.fleet_stats;
-  std::printf("Fleet of %zu node(s) (%s partition), %zu worker(s)/node, "
-              "max batch %zu\n",
-              spec.fleet_nodes, spec.fleet_partition.c_str(), spec.serving.workers,
-              spec.serving.max_batch);
-  std::printf("  requests   : %zu routed (%zu samples)\n", stats.requests,
-              outcome.served_samples);
-  for (const fleet::FleetNodeStats& node : stats.nodes) {
-    std::printf("  node %u     : %zu dp requests, %zu mp requests, %zu halo "
-                "tiles served\n",
-                node.rank, node.serving.requests, node.mp_requests,
-                node.halo_tiles_served);
-  }
-  std::printf("  fabric     : %zu frames, %zu payload bytes (%zu halo bytes)\n",
-              static_cast<std::size_t>(stats.transport.frames),
-              static_cast<std::size_t>(stats.transport.payload_bytes),
-              static_cast<std::size_t>(stats.transport.halo_bytes));
-  std::printf("  throughput : %.0f samples/s (wall %.1f ms)\n", outcome.achieved_fps,
-              outcome.wall_us * 1e-3);
-  std::printf("  accuracy   : %.3f (photonic, effects: %s)\n", outcome.served_accuracy,
-              spec.config.vdp.effective_effects().summary().c_str());
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -272,9 +243,6 @@ int main(int argc, char** argv) {
   std::size_t serve_max_batch = 0;
   double serve_deadline_us = -1.0;
   std::size_t serve_requests = 0;
-  std::size_t fleet_nodes = 0;
-  std::string fleet_partition;
-  bool fleet_partition_set = false;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -333,13 +301,6 @@ int main(int argc, char** argv) {
         serve_deadline_us = parse_nonnegative(next(), "--deadline-us");
       } else if (arg == "--requests") {
         serve_requests = parse_positive(next(), "--requests");
-      } else if (arg == "--fleet-nodes") {
-        fleet_nodes = parse_positive(next(), "--fleet-nodes");
-      } else if (arg == "--partition") {
-        // Validate eagerly so a typo fails before any training happens.
-        fleet_partition = next();
-        (void)fleet::FleetPartition::parse(fleet_partition);
-        fleet_partition_set = true;
       } else if (arg == "--schedule") {
         run_schedule = true;
       } else if (arg == "--json") {
@@ -359,15 +320,6 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "error: %s\n", e.what());
       return 2;
     }
-  }
-  if (fleet_partition_set && fleet_nodes == 0 && scenario_file.empty()) {
-    std::fprintf(stderr, "error: --partition requires --fleet-nodes\n");
-    return 2;
-  }
-  if (fleet_nodes > 0 && dse_flag) {
-    std::fprintf(stderr, "error: --fleet-nodes drives the serving replay; it "
-                         "cannot be combined with --dse\n");
-    return 2;
   }
 
   try {
@@ -403,11 +355,6 @@ int main(int argc, char** argv) {
     if (serve_max_batch != 0) spec.serving.max_batch = serve_max_batch;
     if (serve_deadline_us >= 0.0) spec.serving.deadline_us = serve_deadline_us;
     if (serve_requests != 0) spec.arrivals.requests = serve_requests;
-    if (fleet_nodes != 0) {
-      spec.mode = scenario::Mode::kFleet;
-      spec.fleet_nodes = fleet_nodes;
-    }
-    if (fleet_partition_set) spec.fleet_partition = fleet_partition;
 
     const std::string backend = spec.backends.front();
     if (spec.mode == scenario::Mode::kDse) {
@@ -453,9 +400,6 @@ int main(int argc, char** argv) {
           break;
         case scenario::Mode::kServe:
           print_serve(runner.spec(), outcome);
-          break;
-        case scenario::Mode::kFleet:
-          print_fleet(runner.spec(), outcome);
           break;
         case scenario::Mode::kEvaluate:
           break;  // Unreachable: handled below.

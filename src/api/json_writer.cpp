@@ -5,7 +5,6 @@
 
 #include "core/dse_engine.hpp"
 #include "core/effects.hpp"
-#include "fleet/fleet_types.hpp"
 #include "serve/serve_types.hpp"
 
 namespace xl::api {
@@ -268,34 +267,6 @@ void write_serving_stats(JsonWriter& writer, const std::string& key,
   writer.field("samples_inferred", stats.inference.samples_inferred);
   writer.field("batches_inferred", stats.inference.batches_inferred);
   writer.end_object();
-  writer.end_object();
-}
-
-void write_fleet_stats(JsonWriter& writer, const std::string& key,
-                       const fleet::FleetStats& stats) {
-  writer.begin_object(key);
-  writer.field("requests", stats.requests);
-  writer.begin_object("transport");
-  writer.field("frames", static_cast<std::size_t>(stats.transport.frames));
-  writer.field("payload_bytes",
-               static_cast<std::size_t>(stats.transport.payload_bytes));
-  writer.field("halo_frames",
-               static_cast<std::size_t>(stats.transport.halo_frames));
-  writer.field("halo_bytes",
-               static_cast<std::size_t>(stats.transport.halo_bytes));
-  writer.field("dse_bytes", static_cast<std::size_t>(stats.transport.dse_bytes));
-  writer.end_object();
-  writer.begin_array("nodes");
-  for (const fleet::FleetNodeStats& node : stats.nodes) {
-    writer.begin_object();
-    writer.field("rank", static_cast<std::size_t>(node.rank));
-    writer.field("mp_requests", node.mp_requests);
-    writer.field("halo_tiles_served", node.halo_tiles_served);
-    writer.field("dse_evaluations", node.dse_evaluations);
-    write_serving_stats(writer, "serving", node.serving);
-    writer.end_object();
-  }
-  writer.end_array();
   writer.end_object();
 }
 

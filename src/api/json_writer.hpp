@@ -21,10 +21,6 @@ namespace xl::serve {
 struct ServingStats;
 }  // namespace xl::serve
 
-namespace xl::fleet {
-struct FleetStats;
-}  // namespace xl::fleet
-
 namespace xl::api {
 
 class JsonWriter {
@@ -87,12 +83,5 @@ void write_dse_stats(JsonWriter& writer, const core::DseStats& stats);
 /// (only non-empty bins), and the merged photonic work counters.
 void write_serving_stats(JsonWriter& writer, const std::string& key,
                          const serve::ServingStats& stats);
-
-/// Emit a fleet snapshot as a named object: routed-request count, fabric
-/// traffic totals (frames, payload/halo/DSE bytes), and one object per node
-/// (rank, model-parallel and halo counters, DSE evaluations, and the node's
-/// full serving snapshot).
-void write_fleet_stats(JsonWriter& writer, const std::string& key,
-                       const fleet::FleetStats& stats);
 
 }  // namespace xl::api

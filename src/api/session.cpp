@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "api/analytical_backend.hpp"
-#include "fleet/coordinator.hpp"
 #include "serve/serving_runtime.hpp"
 
 namespace xl::api {
@@ -135,15 +134,6 @@ std::unique_ptr<serve::ServingRuntime> Session::serve(
   // the shared immutable engine configuration every shard clones from.
   options.architecture = config_.architecture;
   return std::make_unique<serve::ServingRuntime>(config_.vdp, options);
-}
-
-std::unique_ptr<fleet::FleetCoordinator> Session::fleet(
-    fleet::FleetOptions options) const {
-  // Same hand-off as serve(), fleet-wide: one immutable vdp configuration
-  // for every node's shard and model-parallel engines, the session
-  // architecture as the pacing reference on each node's runtime.
-  options.serving.architecture = config_.architecture;
-  return std::make_unique<fleet::FleetCoordinator>(config_.vdp, options);
 }
 
 }  // namespace xl::api

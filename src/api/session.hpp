@@ -34,16 +34,11 @@
 #include "core/dse_engine.hpp"
 #include "core/report.hpp"
 #include "dnn/layer_spec.hpp"
-#include "fleet/fleet_types.hpp"
 #include "serve/serve_types.hpp"
 
 namespace xl::serve {
 class ServingRuntime;
 }  // namespace xl::serve
-
-namespace xl::fleet {
-class FleetCoordinator;
-}  // namespace xl::fleet
 
 namespace xl::dnn {
 class Network;
@@ -115,15 +110,6 @@ class Session {
   /// session afterwards (set_config does not affect running shards).
   [[nodiscard]] std::unique_ptr<serve::ServingRuntime> serve(
       serve::ServingOptions options = {}) const;
-
-  /// Fleet facade: build a FleetCoordinator whose nodes each run a local
-  /// ServingRuntime (and DseEngine) over this session's immutable vdp
-  /// options — the same engine-configuration hand-off as serve(), scaled
-  /// to `options.nodes` ranks over an in-process transport. Register
-  /// models on the returned coordinator, then start() it; it is
-  /// independent of the session afterwards.
-  [[nodiscard]] std::unique_ptr<fleet::FleetCoordinator> fleet(
-      fleet::FleetOptions options = {}) const;
 
  private:
   SimConfig config_;

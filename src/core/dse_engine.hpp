@@ -65,23 +65,23 @@ struct DseMemoEntry {
 
 /// Bitwise equality of two reports: every double compared by object
 /// representation (not operator==, so a NaN can never mask divergence),
-/// strings and integers exactly. This is the agreement predicate of the
-/// mergeable fleet memo — two nodes evaluating the same deterministic
-/// candidate must produce the same bits.
+/// strings and integers exactly. This is the agreement predicate of
+/// DseMemo::merge and DseEngine::import_memo — two engines evaluating the
+/// same deterministic candidate must produce the same bits.
 [[nodiscard]] bool reports_bit_identical(const AcceleratorReport& a,
                                          const AcceleratorReport& b) noexcept;
 
 /// Portable snapshot of a DseEngine memo cache: entries sorted by key,
-/// unique. The fleet layer ships these between nodes as compact DSE
-/// reports and merges them into the union cache that makes warm
-/// distributed re-runs evaluator-free.
+/// unique. Memos exported from independent engines (each populated with a
+/// slice of one sweep) merge into a union cache; importing it makes a warm
+/// re-run of the whole sweep evaluator-free.
 struct DseMemo {
   std::vector<DseMemoEntry> entries;  ///< Sorted ascending by key, unique.
 
   /// Union-merge `other` into this memo. Disjoint keys accumulate;
   /// overlapping keys must carry bit-identical reports or the merge throws
   /// std::runtime_error naming the offending key — divergent reports for
-  /// one key mean two nodes disagreed on a deterministic evaluation, which
+  /// one key mean two engines disagreed on a deterministic evaluation, which
   /// is always a bug and must fail loudly, never silently pick a side.
   void merge(const DseMemo& other);
 
@@ -144,8 +144,8 @@ class DseEngine {
   [[nodiscard]] static std::vector<DseCandidate> expand(const DseSweep& sweep);
 
   /// Expand + area-filter: exactly the admission run() applies, exposed so
-  /// a coordinator can stripe the admitted list across fleet nodes and
-  /// every node agrees on candidate identity. Deterministic order (the
+  /// callers slicing a sweep for populate() (and xlbench's DSE study)
+  /// agree with run() on candidate identity. Deterministic order (the
   /// expand() order, filtered). Throws std::invalid_argument on invalid
   /// sweeps or when the budget rejects every candidate (naming the budget).
   /// When non-null, `area_filtered` receives the rejected count.
@@ -153,14 +153,14 @@ class DseEngine {
       const DseSweep& sweep, std::size_t* area_filtered = nullptr);
 
   /// Memo key of one (candidate, model) evaluation — the identity the
-  /// cache, export/import, and the fleet's mergeable memo all agree on.
+  /// cache, export/import, and DseMemo::merge all agree on.
   [[nodiscard]] static std::string memo_key(const DseCandidate& candidate,
                                             const xl::dnn::ModelSpec& model);
 
   /// Evaluate every (candidate, model) pair of `slice` missing from the
   /// memo, insert the fresh reports, and return just those fresh entries
-  /// (sorted by key) — the compact delta a fleet node ships back to its
-  /// coordinator. Evaluator calls paid == returned entry count; a warm
+  /// (sorted by key) — the compact delta another engine can import or
+  /// merge. Evaluator calls paid == returned entry count; a warm
   /// slice returns an empty memo. Always uses the persistent memo,
   /// regardless of Options::cache_enabled (the memo *is* the product here).
   [[nodiscard]] DseMemo populate(const std::vector<DseCandidate>& slice,
@@ -177,13 +177,6 @@ class DseEngine {
   /// this throws std::runtime_error naming the key. Returns the number of
   /// newly inserted entries.
   std::size_t import_memo(const DseMemo& memo);
-
-  /// True when the memo already holds `key` (see memo_key). The fleet
-  /// coordinator uses this to skip striping candidates its union cache
-  /// fully covers — a warm distributed re-run assigns no work at all.
-  [[nodiscard]] bool memo_contains(const std::string& key) const {
-    return cache_.count(key) != 0;
-  }
 
   [[nodiscard]] const Options& options() const noexcept { return options_; }
   /// Replace the run options; the memo cache is kept.

@@ -11,7 +11,7 @@
 // compiled on first use and recompiled when the sample shape changes or a
 // batch outgrows it. infer_batch(), evaluate_accuracy() and the serving
 // shards' infer_views() run the whole plan; infer_range() runs a contiguous
-// layer range of it (the fleet's trunk/tail split, per-layer tracing). The
+// layer range of it (xlbench's per-layer traced stitch). The
 // exact software reference pass per GEMM layer (for max_abs_layer_error) is
 // opt-in via set_track_layer_error and runs inside the plan.
 //
@@ -128,13 +128,13 @@ class PhotonicInferenceEngine {
   /// (end is clamped to layer_count(); an empty range returns the batch).
   /// The cached plan serves the range when it covers begin_layer at this
   /// input shape; otherwise the plan recompiles starting at begin_layer, so
-  /// a fresh engine whose first call starts mid-network works. The fleet's
-  /// model-parallel path splits one forward pass into trunk / boundary-tile
-  /// / tail segments: because every accelerated layer advances simulated
-  /// time identically whichever engine executes it, stitching ranges back
-  /// together is bit-identical to one infer_batch() call — provided the
-  /// caller lines the engines up on the same effect timeline first
-  /// (reset_effects + one advance per accelerated layer already executed).
+  /// a fresh engine whose first call starts mid-network works. xlbench's
+  /// traced pass runs one forward as a chain of single-layer ranges:
+  /// because every accelerated layer advances simulated time identically
+  /// whichever call executes it, stitching ranges back together is
+  /// bit-identical to one infer_batch() call — provided every engine
+  /// involved sits on the same effect timeline first (reset_effects + one
+  /// advance per accelerated layer already executed).
   /// Sample/batch counters accrue only on full passes (begin == 0 &&
   /// end >= count).
   [[nodiscard]] dnn::Tensor infer_range(const dnn::Tensor& batch,

@@ -2,15 +2,14 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <stdexcept>
 
 namespace xl::exec {
 
 namespace {
 
-/// Innermost ScopedPool override for this thread; pool workers (CPU and
-/// blocking lanes) also point this at their owning pool so code running
-/// on them routes nested work back to the same pool.
+/// Innermost ScopedPool override for this thread; pool workers also point
+/// this at their owning pool so code running on them routes nested work
+/// back to the same pool.
 thread_local TaskPool* tl_pool_override = nullptr;
 
 /// Lane id the current thread executes tiles under. 0 outside any
@@ -36,12 +35,6 @@ std::size_t resolve_global_width() {
 
 }  // namespace
 
-void TaskHandle::wait() {
-  if (!state_) return;
-  std::unique_lock<std::mutex> lk(state_->mutex);
-  state_->cv.wait(lk, [&] { return state_->done; });
-}
-
 TaskPool::TaskPool(std::size_t lanes)
     : lanes_(std::clamp<std::size_t>(lanes, 1, kMaxLanes)) {
   if (lanes_ > 1) {
@@ -65,20 +58,6 @@ TaskPool::~TaskPool() {
   park_cv_.notify_all();
   for (auto& worker : workers_) worker.join();
 
-  {
-    std::lock_guard<std::mutex> lk(blocking_mutex_);
-    blocking_quit_ = true;
-  }
-  for (auto& worker : blocking_) {
-    {
-      std::lock_guard<std::mutex> lk(worker->mutex);
-      worker->quit = true;
-    }
-    worker->cv.notify_all();
-  }
-  for (auto& worker : blocking_) {
-    if (worker->thread.joinable()) worker->thread.join();
-  }
 }
 
 void TaskPool::parallel_for(std::size_t begin, std::size_t end,
@@ -299,65 +278,6 @@ void TaskPool::worker_main(std::size_t lane) {
              quit_.load(std::memory_order_relaxed);
     });
     idle_.fetch_sub(1, std::memory_order_relaxed);
-  }
-}
-
-TaskHandle TaskPool::submit_blocking(std::function<void()> fn) {
-  auto state = std::make_shared<TaskHandle::State>();
-  BlockingWorker* worker = nullptr;
-  {
-    std::lock_guard<std::mutex> lk(blocking_mutex_);
-    if (blocking_quit_) {
-      throw std::runtime_error(
-          "xl::exec::TaskPool::submit_blocking: pool is shutting down");
-    }
-    if (!blocking_idle_.empty()) {
-      worker = blocking_[blocking_idle_.back()].get();
-      blocking_idle_.pop_back();
-    } else {
-      blocking_.push_back(std::make_unique<BlockingWorker>());
-      worker = blocking_.back().get();
-      worker->index = blocking_.size() - 1;
-      worker->thread =
-          std::thread(&TaskPool::blocking_worker_main, this, worker);
-    }
-  }
-  {
-    std::lock_guard<std::mutex> lk(worker->mutex);
-    worker->fn = std::move(fn);
-    worker->handle = state;
-  }
-  worker->cv.notify_one();
-  TaskHandle handle;
-  handle.state_ = std::move(state);
-  return handle;
-}
-
-void TaskPool::blocking_worker_main(BlockingWorker* worker) {
-  tl_pool_override = this;
-  for (;;) {
-    std::function<void()> fn;
-    std::shared_ptr<TaskHandle::State> handle;
-    {
-      std::unique_lock<std::mutex> lk(worker->mutex);
-      worker->cv.wait(lk, [&] { return worker->fn || worker->quit; });
-      if (!worker->fn) return;  // quit with no pending task
-      fn = std::move(worker->fn);
-      worker->fn = nullptr;
-      handle = std::move(worker->handle);
-      worker->handle.reset();
-    }
-    fn();
-    {
-      std::lock_guard<std::mutex> lk(handle->mutex);
-      handle->done = true;
-    }
-    handle->cv.notify_all();
-    {
-      std::lock_guard<std::mutex> lk(blocking_mutex_);
-      if (blocking_quit_) return;
-      blocking_idle_.push_back(worker->index);
-    }
   }
 }
 

@@ -1,11 +1,11 @@
 // xl::exec — the persistent work-stealing executor under the whole
-// parallel spine (numerics GEMM, core batched VDP + DSE, serve, fleet).
+// parallel spine (numerics GEMM, core batched VDP + DSE).
 //
 // Why it exists: PR 6/8 removed compute and allocator overhead from the
 // hot path, but every inference still paid fork-join setup and barrier
 // cost per GEMM region. This pool is created once per process (or per
 // test scope), keeps its workers parked on a condvar parking lot between
-// bursts, and exposes two primitives:
+// bursts, and exposes one primitive:
 //
 //   * parallel_for(begin, end, grain, fn) — CPU lanes. The range is cut
 //     into canonical tiles [begin + t*grain, min(end, begin+(t+1)*grain));
@@ -17,13 +17,9 @@
 //     call* (lane 0 = the calling thread) — safe to index per-lane
 //     scratch pools with. The call blocks until every tile ran, which is
 //     also the memory barrier: all tile writes happen-before the return.
-//   * submit_blocking(fn) — the blocking lane. Runs fn on a cached
-//     service thread (grown on demand, parked when idle, reused across
-//     fleet nodes) for loops that block on a transport receive or a
-//     condition variable — the fleet node's pump, halo and completer
-//     loops. Blocking tasks never occupy a CPU lane, so a loop parked
-//     waiting for a frame cannot starve a GEMM. The serving runtime runs
-//     dedicated per-shard worker threads and does not use this lane.
+//
+// Loops that block (a serving shard waiting for requests) do not run on
+// the pool: the serving runtime owns dedicated per-shard worker threads.
 //
 // Distribution (deterministic decomposition, dynamic placement): the
 // caller keeps a leading share of tiles for itself and publishes the rest
@@ -53,7 +49,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -72,25 +67,6 @@ inline constexpr std::size_t kMaxLanes = 64;
 using TileFn = void (*)(void* ctx, std::size_t i0, std::size_t i1,
                         std::size_t lane);
 
-/// Completion handle of one blocking-lane task (see submit_blocking).
-/// Copyable; wait() blocks until the task body returned. A
-/// default-constructed handle is empty and wait() is a no-op.
-class TaskHandle {
- public:
-  TaskHandle() = default;
-  void wait();
-  [[nodiscard]] bool valid() const noexcept { return state_ != nullptr; }
-
- private:
-  friend class TaskPool;
-  struct State {
-    std::mutex mutex;
-    std::condition_variable cv;
-    bool done = false;
-  };
-  std::shared_ptr<State> state_;
-};
-
 class TaskPool {
  public:
   /// A pool of `lanes` total hands: lanes-1 background CPU workers plus
@@ -99,11 +75,7 @@ class TaskPool {
   /// parallel_for runs inline (the 1-core container's fast path).
   explicit TaskPool(std::size_t lanes);
 
-  /// Joins CPU workers and blocking-lane threads. Every submit_blocking
-  /// task must have completed (the fleet stop path waits on its handles
-  /// before tearing the pool down) — a task still blocked inside
-  /// its body would hang the join, by design: losing it silently would be
-  /// worse.
+  /// Wakes and joins the CPU workers.
   ~TaskPool();
 
   TaskPool(const TaskPool&) = delete;
@@ -116,13 +88,6 @@ class TaskPool {
   /// See the file header for the determinism and allocation contracts.
   void parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
                     TileFn fn, void* ctx);
-
-  /// Run fn on a cached blocking-service thread. Returns immediately;
-  /// the handle's wait() blocks until fn returned. Threads are grown on
-  /// demand, parked when idle, and reused across submissions — the fleet
-  /// node runs its service loops here instead of owning std::threads.
-  /// Throws std::runtime_error after shutdown began.
-  TaskHandle submit_blocking(std::function<void()> fn);
 
  private:
   static constexpr std::size_t kJobSlots = 32;
@@ -158,17 +123,6 @@ class TaskPool {
     alignas(64) std::atomic<std::uint32_t> state{kFree};
   };
 
-  /// One cached blocking-lane service thread.
-  struct BlockingWorker {
-    std::thread thread;
-    std::mutex mutex;
-    std::condition_variable cv;
-    std::function<void()> fn;  ///< Non-empty = a task is pending.
-    std::shared_ptr<TaskHandle::State> handle;
-    std::size_t index = 0;
-    bool quit = false;
-  };
-
   static std::uint64_t pack_ref(std::size_t slot, std::size_t t0,
                                 std::size_t count) {
     return (static_cast<std::uint64_t>(slot) << 48) |
@@ -187,7 +141,6 @@ class TaskPool {
   bool steal(std::size_t lane, std::uint64_t* ref);
   void unpark(std::size_t count);
   void worker_main(std::size_t lane);
-  void blocking_worker_main(BlockingWorker* worker);
 
   const std::size_t lanes_;
   std::array<ParallelJob, kJobSlots> jobs_;
@@ -204,11 +157,6 @@ class TaskPool {
   std::atomic<std::size_t> idle_{0};
   std::atomic<bool> quit_{false};
 
-  // Blocking lane.
-  std::mutex blocking_mutex_;
-  std::vector<std::unique_ptr<BlockingWorker>> blocking_;
-  std::vector<std::size_t> blocking_idle_;
-  bool blocking_quit_ = false;
 };
 
 /// The process-wide pool. Width resolves once, at first use: the
@@ -216,7 +164,7 @@ class TaskPool {
 /// set and valid, else std::thread::hardware_concurrency().
 TaskPool& global_pool();
 
-/// The pool parallel_for and submit_blocking route through on this
+/// The pool parallel_for routes through on this
 /// thread: the innermost live ScopedPool override, else the global pool.
 TaskPool& current();
 

@@ -13,7 +13,6 @@
 #include "dnn/datasets.hpp"
 #include "dnn/loss.hpp"
 #include "dnn/models.hpp"
-#include "fleet/coordinator.hpp"
 #include "serve/model_repository.hpp"
 #include "serve/serving_runtime.hpp"
 
@@ -195,51 +194,6 @@ ScenarioOutcome run_dse(const ScenarioSpec& spec, api::Session& session,
   return outcome;
 }
 
-/// The shared serve/fleet replay loop: submit the trace (paced by the
-/// arrival gaps), score served accuracy against the dataset labels, and
-/// fingerprint the logits in request order.
-struct ReplayScore {
-  double accuracy = 0.0;
-  std::size_t samples = 0;
-  std::uint64_t checksum = 0;
-  double wall_us = 0.0;
-};
-
-template <typename SubmitFn>
-ReplayScore replay(const dnn::Dataset& data,
-                   const std::vector<dnn::Tensor>& trace,
-                   const std::vector<std::pair<std::size_t, std::size_t>>& slices,
-                   const std::vector<double>& gaps_us, SubmitFn&& submit) {
-  const auto t0 = serve::Clock::now();
-  std::vector<std::future<serve::InferResult>> futures;
-  futures.reserve(trace.size());
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    if (gaps_us[i] > 0.0) {
-      std::this_thread::sleep_for(
-          std::chrono::duration<double, std::micro>(gaps_us[i]));
-    }
-    futures.push_back(submit(i, trace[i]));
-  }
-
-  ReplayScore score;
-  double correct = 0.0;
-  std::vector<dnn::Tensor> logits;
-  logits.reserve(futures.size());
-  for (std::size_t i = 0; i < futures.size(); ++i) {
-    serve::InferResult result = futures[i].get();
-    const auto [start, rows] = slices[i];
-    correct += static_cast<double>(rows) *
-               dnn::accuracy(result.logits, dnn::batch_labels(data, start, rows));
-    score.samples += rows;
-    logits.push_back(std::move(result.logits));
-  }
-  score.wall_us =
-      std::chrono::duration<double, std::micro>(serve::Clock::now() - t0).count();
-  score.accuracy = correct / static_cast<double>(score.samples);
-  score.checksum = fnv1a_logits(logits);
-  return score;
-}
-
 ScenarioOutcome run_serve(const ScenarioSpec& spec, api::Session& session,
                           api::JsonWriter& writer) {
   ScenarioOutcome outcome;
@@ -265,19 +219,38 @@ ScenarioOutcome run_serve(const ScenarioSpec& spec, api::Session& session,
   const std::vector<dnn::Tensor> trace = build_trace(proxy.test, rows, slices);
   const std::vector<double> gaps = arrival_gaps_us(spec.arrivals, trace.size());
 
-  const ReplayScore score =
-      replay(proxy.test, trace, slices, gaps, [&](std::size_t i, const dnn::Tensor& in) {
-        return runtime->submit(tenant_names[i % tenant_names.size()], in);
-      });
+  // Replay the trace (paced by the arrival gaps), score served accuracy
+  // against the dataset labels, and fingerprint the logits in request order.
+  const auto t0 = serve::Clock::now();
+  std::vector<std::future<serve::InferResult>> futures;
+  futures.reserve(trace.size());
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    if (gaps[i] > 0.0) {
+      std::this_thread::sleep_for(std::chrono::duration<double, std::micro>(gaps[i]));
+    }
+    futures.push_back(runtime->submit(tenant_names[i % tenant_names.size()], trace[i]));
+  }
+  double correct = 0.0;
+  std::size_t samples = 0;
+  std::vector<dnn::Tensor> logits;
+  logits.reserve(futures.size());
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    serve::InferResult result = futures[i].get();
+    const auto [start, count] = slices[i];
+    correct += static_cast<double>(count) *
+               dnn::accuracy(result.logits, dnn::batch_labels(proxy.test, start, count));
+    samples += count;
+    logits.push_back(std::move(result.logits));
+  }
+  const double wall_us =
+      std::chrono::duration<double, std::micro>(serve::Clock::now() - t0).count();
   runtime->stop();
   outcome.serving_stats = runtime->stats();
-  outcome.served_accuracy = score.accuracy;
-  outcome.served_samples = score.samples;
-  outcome.logits_checksum = score.checksum;
-  outcome.wall_us = score.wall_us;
-  outcome.achieved_fps = score.wall_us > 0.0
-                             ? static_cast<double>(score.samples) * 1e6 / score.wall_us
-                             : 0.0;
+  outcome.served_accuracy = correct / static_cast<double>(samples);
+  outcome.logits_checksum = fnv1a_logits(logits);
+  outcome.wall_us = wall_us;
+  outcome.achieved_fps =
+      wall_us > 0.0 ? static_cast<double>(samples) * 1e6 / wall_us : 0.0;
 
   writer.begin_object("serving");
   writer.field("model", "table1-proxy-mlp");
@@ -289,82 +262,17 @@ ScenarioOutcome run_serve(const ScenarioSpec& spec, api::Session& session,
   writer.field("requests", outcome.serving_stats.requests);
   writer.field("samples", outcome.serving_stats.samples);
   writer.field("float_test_accuracy", proxy.float_accuracy);
-  writer.field("served_accuracy", score.accuracy);
-  writer.field("logits_fnv1a", hex64(score.checksum));
+  writer.field("served_accuracy", outcome.served_accuracy);
+  writer.field("logits_fnv1a", hex64(outcome.logits_checksum));
   writer.end_object();
 
   writer.begin_object("timing");
-  writer.field("wall_us", score.wall_us);
+  writer.field("wall_us", outcome.wall_us);
   writer.field("achieved_fps", outcome.achieved_fps);
   const auto [p50, p99] = serve::latency_p50_p99_us(outcome.serving_stats.latency_us);
   writer.field("latency_p50_us", p50);
   writer.field("latency_p99_us", p99);
   api::write_serving_stats(writer, "serving", outcome.serving_stats);
-  writer.end_object();
-  return outcome;
-}
-
-ScenarioOutcome run_fleet(const ScenarioSpec& spec, api::Session& session,
-                          api::JsonWriter& writer) {
-  ScenarioOutcome outcome;
-  dnn::Table1ProxyMlp proxy = dnn::train_table1_proxy_mlp(spec.train_epochs);
-  outcome.float_accuracy = proxy.float_accuracy;
-
-  fleet::FleetOptions options;
-  options.nodes = spec.fleet_nodes;
-  options.partition = fleet::FleetPartition::parse(spec.fleet_partition);
-  options.serving = spec.serving;
-  auto coordinator = session.fleet(options);
-
-  serve::ServedModel dp = serve::table1_proxy_served_model(proxy.net);
-  coordinator->register_model({dp, /*model_parallel=*/false});
-  if (spec.fleet_model_parallel) {
-    serve::ServedModel mp = serve::table1_proxy_served_model(proxy.net);
-    mp.name += "-mp";
-    coordinator->register_model({std::move(mp), /*model_parallel=*/true});
-  }
-  coordinator->start();
-
-  std::vector<std::pair<std::size_t, std::size_t>> slices;
-  const std::vector<std::size_t> rows =
-      spec.arrivals.request_rows(spec.serving.max_batch);
-  const std::vector<dnn::Tensor> trace = build_trace(proxy.test, rows, slices);
-  const std::vector<double> gaps = arrival_gaps_us(spec.arrivals, trace.size());
-
-  const ReplayScore score =
-      replay(proxy.test, trace, slices, gaps, [&](std::size_t i, const dnn::Tensor& in) {
-        const bool mp = spec.fleet_model_parallel && i % 2 == 1;
-        return coordinator->submit(mp ? "table1-proxy-mlp-mp" : "table1-proxy-mlp",
-                                   in);
-      });
-  coordinator->stop();
-  outcome.fleet_stats = coordinator->stats();
-  outcome.served_accuracy = score.accuracy;
-  outcome.served_samples = score.samples;
-  outcome.logits_checksum = score.checksum;
-  outcome.wall_us = score.wall_us;
-  outcome.achieved_fps = score.wall_us > 0.0
-                             ? static_cast<double>(score.samples) * 1e6 / score.wall_us
-                             : 0.0;
-
-  writer.begin_object("fleet");
-  writer.field("nodes", spec.fleet_nodes);
-  writer.field("partition", coordinator->options().partition.summary());
-  writer.field("model_parallel", spec.fleet_model_parallel);
-  writer.field("workers_per_node", spec.serving.workers);
-  writer.field("max_batch", spec.serving.max_batch);
-  writer.field("arrival_process", ArrivalSpec::process_name(spec.arrivals.process));
-  writer.field("requests", outcome.fleet_stats.requests);
-  writer.field("samples", score.samples);
-  writer.field("float_test_accuracy", proxy.float_accuracy);
-  writer.field("served_accuracy", score.accuracy);
-  writer.field("logits_fnv1a", hex64(score.checksum));
-  writer.end_object();
-
-  writer.begin_object("timing");
-  writer.field("wall_us", score.wall_us);
-  writer.field("achieved_fps", outcome.achieved_fps);
-  api::write_fleet_stats(writer, "fleet", outcome.fleet_stats);
   writer.end_object();
   return outcome;
 }
@@ -417,9 +325,6 @@ ScenarioOutcome ScenarioRunner::run() {
       break;
     case Mode::kServe:
       outcome = run_serve(spec_, session, writer);
-      break;
-    case Mode::kFleet:
-      outcome = run_fleet(spec_, session, writer);
       break;
   }
   outcome.mode = spec_.mode;

@@ -3,14 +3,14 @@
 // The runner is the single execution engine behind `crosslight_cli
 // --scenario`, the scenario-corpus CI step, and the migrated examples: it
 // builds an api::Session from the spec's lowered SimConfig, dispatches on
-// the scenario mode (evaluate / functional / dse / serve / fleet), and
+// the scenario mode (evaluate / functional / dse / serve), and
 // emits ONE normalized JSON report via api::JsonWriter.
 //
 // Report normalization contract (tools/check_scenario_golden.py): every
 // value outside the top-level "timing" object is deterministic — identical
-// bits on every run, for any worker count, batch grouping, or partition map
-// (the serve/fleet determinism contracts make served accuracy and the
-// logits checksum deterministic fields). Everything wall-clock-dependent
+// bits on every run, for any worker count or batch grouping (the serving
+// determinism contract makes served accuracy and the logits checksum
+// deterministic fields). Everything wall-clock-dependent
 // (latency, throughput, micro-batch counts, per-shard distribution) is
 // collected under "timing", which the golden differ masks.
 #pragma once
@@ -21,7 +21,6 @@
 
 #include "api/eval_types.hpp"
 #include "core/dse_engine.hpp"
-#include "fleet/fleet_types.hpp"
 #include "scenario/spec.hpp"
 #include "serve/serve_types.hpp"
 
@@ -49,12 +48,10 @@ struct ScenarioOutcome {
   /// dse mode.
   core::DseResult dse;
 
-  /// serve / fleet modes.
+  /// serve mode.
   serve::ServingStats serving_stats;
-  fleet::FleetStats fleet_stats;
   double served_accuracy = 0.0;
   std::uint64_t logits_checksum = 0;  ///< FNV-1a over logits, request order.
-  std::size_t served_samples = 0;
   double wall_us = 0.0;
   double achieved_fps = 0.0;
 };
@@ -76,7 +73,7 @@ class ScenarioRunner {
 };
 
 /// FNV-1a 64-bit over the bit patterns of `logits` tensors in request
-/// order (rows and float payloads both folded in) — the serve/fleet
+/// order (rows and float payloads both folded in) — the serving
 /// determinism fingerprint reported in scenario goldens.
 [[nodiscard]] std::uint64_t fnv1a_logits(
     const std::vector<dnn::Tensor>& logits_per_request);

@@ -4,7 +4,7 @@
 // (INI dialect with expressions, ${var} substitution, and include
 // composition — scenario/ini.hpp) parses into a validated ScenarioSpec
 // (scenario/spec.hpp) that lowers onto the existing api::SimConfig /
-// DseSweep / ServingOptions / FleetOptions types; ScenarioRunner
+// DseSweep / ServingOptions types; ScenarioRunner
 // (scenario/runner.hpp) executes a spec end to end and emits one
 // normalized JSON report. The corpus lives in scenarios/*.ini with golden
 // reports under scenarios/golden/.

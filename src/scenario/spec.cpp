@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "dnn/models.hpp"
-#include "fleet/fleet_types.hpp"
 
 namespace xl::scenario {
 
@@ -83,7 +82,6 @@ std::string mode_name(Mode mode) {
     case Mode::kFunctional: return "functional";
     case Mode::kDse: return "dse";
     case Mode::kServe: return "serve";
-    case Mode::kFleet: return "fleet";
   }
   throw std::invalid_argument("scenario: unknown mode enum value");
 }
@@ -93,10 +91,9 @@ Mode mode_from_name(const std::string& name) {
   if (name == "functional") return Mode::kFunctional;
   if (name == "dse") return Mode::kDse;
   if (name == "serve") return Mode::kServe;
-  if (name == "fleet") return Mode::kFleet;
   throw std::invalid_argument(
       "scenario: [scenario].mode: unknown mode '" + name +
-      "' (expected evaluate|functional|dse|serve|fleet)");
+      "' (expected evaluate|functional|dse|serve)");
 }
 
 const char* ArrivalSpec::process_name(Process p) {
@@ -142,7 +139,7 @@ ScenarioSpec ScenarioSpec::parse(const ScenarioDocument& doc,
   const std::set<std::string> known = {"scenario", "vars",     "architecture",
                                        "datapath", "effects",  "models",
                                        "eval",     "arrivals", "serving",
-                                       "fleet",    "dse"};
+                                       "dse"};
   for (const std::string& name : doc.section_names()) {
     if (known.count(name) != 0) continue;
     // "x-" prefixed sections are private extension payloads (e.g. [x-fig4]
@@ -309,21 +306,6 @@ ScenarioSpec ScenarioSpec::parse(const ScenarioDocument& doc,
   }
 
   {
-    SectionReader s(doc, "fleet");
-    spec.fleet_nodes = s.get_size("nodes", spec.fleet_nodes);
-    spec.fleet_partition = s.get_string("partition", spec.fleet_partition);
-    spec.fleet_model_parallel =
-        s.get_bool("model_parallel", spec.fleet_model_parallel);
-    try {
-      (void)fleet::FleetPartition::parse(spec.fleet_partition);
-    } catch (const std::invalid_argument& err) {
-      throw std::invalid_argument("scenario: " + s.where("partition") + ": " +
-                                  err.what());
-    }
-    s.finish();
-  }
-
-  {
     SectionReader s(doc, "dse");
     core::DseSweep& d = spec.config.dse;
     d.conv_unit_sizes = s.get_size_list("N", d.conv_unit_sizes);
@@ -365,16 +347,6 @@ void ScenarioSpec::validate() const {
     serving.validate();
   } catch (const std::invalid_argument& err) {
     throw std::invalid_argument("scenario '" + name + "': " + err.what());
-  }
-  if (mode == Mode::kFleet && fleet_nodes == 0) {
-    throw std::invalid_argument(
-        "scenario '" + name + "': [fleet].nodes: mode = fleet requires nodes >= 1");
-  }
-  if (tenants > 1 && mode == Mode::kFleet) {
-    throw std::invalid_argument(
-        "scenario '" + name +
-        "': [serving].tenants: multi-tenant registration is a serve-mode "
-        "feature (the fleet registers the dp/mp pair instead)");
   }
 }
 
@@ -483,11 +455,6 @@ std::string ScenarioSpec::serialize() const {
   kv("tenants", fmt(tenants));
   kv("pace_hardware_time", fmt(serving.pace_hardware_time));
   kv("pace_scale", fmt(serving.pace_scale));
-
-  out += "\n[fleet]\n";
-  kv("nodes", fmt(fleet_nodes));
-  kv("partition", fleet_partition);
-  kv("model_parallel", fmt(fleet_model_parallel));
 
   const core::DseSweep& d = config.dse;
   out += "\n[dse]\n";

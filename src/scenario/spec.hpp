@@ -3,17 +3,16 @@
 // One scenario file declares a complete workload: the model zoo and backend
 // set, the architecture and signal-level datapath, the non-ideality effect
 // stack, an arrival process (burst / open-loop Poisson / trace replay), the
-// DSE axes, the serving policy, and the fleet topology. parse() consumes a
-// ScenarioDocument section by section with unknown sections and keys
-// rejected by name, lowers the values onto the existing api::SimConfig /
-// core::DseSweep / serve::ServingOptions / fleet-shaped types, and
-// validates the result — every error names [section].key and the source
+// DSE axes, and the serving policy. parse() consumes a ScenarioDocument
+// section by section with unknown sections and keys rejected by name,
+// lowers the values onto the existing api::SimConfig / core::DseSweep /
+// serve::ServingOptions types, and validates the result — every error names [section].key and the source
 // file:line. serialize() emits the canonical normal form (every knob
 // explicit), and parse(serialize(spec)) is the identity: the round-trip
 // contract pinned by tests/test_scenario.cpp.
 //
 // Section / key map (all optional; defaults mirror crosslight_cli's flags):
-//   [scenario]     name, description, mode (evaluate|functional|dse|serve|fleet)
+//   [scenario]     name, description, mode (evaluate|functional|dse|serve)
 //   [vars]         free variables for ${var} substitution
 //   [architecture] N, K, n, m, mrs_per_bank, resolution_bits, variant,
 //                  pitch_ted_um, pitch_guard_um
@@ -31,7 +30,6 @@
 //                  seed, trace (rows per request)
 //   [serving]      workers, max_batch, deadline_us, queue_capacity, tenants,
 //                  pace_hardware_time, pace_scale
-//   [fleet]        nodes, partition, model_parallel
 //   [dse]          N, K, n, m, variants, resolutions, budgets_mm2,
 //                  max_area_mm2, top_k, serial
 #pragma once
@@ -46,7 +44,7 @@
 
 namespace xl::scenario {
 
-enum class Mode : std::uint8_t { kEvaluate, kFunctional, kDse, kServe, kFleet };
+enum class Mode : std::uint8_t { kEvaluate, kFunctional, kDse, kServe };
 
 [[nodiscard]] std::string mode_name(Mode mode);
 [[nodiscard]] Mode mode_from_name(const std::string& name);
@@ -57,7 +55,7 @@ enum class Mode : std::uint8_t { kEvaluate, kFunctional, kDse, kServe, kFleet };
 [[nodiscard]] std::string variant_token(core::Variant v);
 [[nodiscard]] core::Variant variant_from_name(const std::string& token);
 
-/// The request arrival process of serve/fleet scenarios. All three produce
+/// The request arrival process of serve scenarios. All three produce
 /// the same per-request row sizes for the same settings, so the served
 /// logits (and accuracy) are identical across processes — arrivals only
 /// shape the queueing/batching dynamics, never the numerics.
@@ -95,15 +93,11 @@ struct ScenarioSpec {
   std::vector<std::string> models = {"table1"};  ///< Zoo selection tokens.
   std::vector<std::string> backends = {"crosslight:opt_ted"};
 
-  std::size_t train_epochs = 20;  ///< Proxy-MLP recipe (functional/serve/fleet).
+  std::size_t train_epochs = 20;  ///< Proxy-MLP recipe (functional/serve).
 
   ArrivalSpec arrivals;
   serve::ServingOptions serving{.workers = 2};  ///< CLI default worker count.
   std::size_t tenants = 1;        ///< Serve mode: proxy registrations.
-
-  std::size_t fleet_nodes = 0;            ///< 0 = no fleet (serve runs locally).
-  std::string fleet_partition = "round_robin";
-  bool fleet_model_parallel = true;       ///< Register the -mp twin.
 
   std::size_t dse_top_k = 0;  ///< 0 = full ranking.
   bool dse_serial = false;

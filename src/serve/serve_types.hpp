@@ -57,7 +57,7 @@ struct InferResult {
 /// micro-batches complete normally; undispatched requests fail fast with
 /// this error instead of being silently dropped with the runtime. Callers
 /// that stop() while holding unresolved futures must be prepared to catch
-/// it (fleet nodes translate it into an error frame for the coordinator).
+/// it.
 class ShutdownError : public std::runtime_error {
  public:
   explicit ShutdownError(const std::string& what) : std::runtime_error(what) {}

@@ -442,7 +442,7 @@ TEST(DseEngine, ProgressCallbackIsMonotoneAndComplete) {
   EXPECT_EQ(total_seen.load(), result.stats.evaluations);
 }
 
-// --- memo export / import / merge (the fleet's mergeable cache) --------------
+// --- memo export / import / merge -------------------------------------------
 
 TEST(DseMemo, MergeOfDisjointCachesMakesWarmRunZeroEvaluatorCalls) {
   const std::vector<xl::dnn::ModelSpec> models{xl::dnn::lenet5_spec()};

@@ -1,15 +1,13 @@
 // xl::exec executor tests: canonical tile decomposition, exactly-once
-// execution, lane discipline, nesting, the blocking lane, and the headline
-// acceptance criterion — engine results bit-identical across pool widths
-// {1, 2, 8} for every effect set and batch shape.
+// execution, lane discipline, nesting, and the headline acceptance
+// criterion — engine results bit-identical across pool widths {1, 2, 8}
+// for every effect set and batch shape.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <mutex>
 #include <set>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -133,46 +131,6 @@ TEST(TaskPool, ScopedPoolOverridesAndRestoresWidth) {
     EXPECT_EQ(exec::width(), 3u);
   }
   EXPECT_EQ(exec::width(), outside);
-}
-
-TEST(TaskPool, SubmitBlockingRunsAndWaitCompletes) {
-  exec::ScopedPool scoped(2);
-  std::atomic<bool> ran{false};
-  exec::TaskHandle handle = scoped.pool().submit_blocking([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    ran.store(true);
-  });
-  ASSERT_TRUE(handle.valid());
-  handle.wait();
-  EXPECT_TRUE(ran.load());
-  // Service threads are cached: a second task reuses the lane and a
-  // default handle is inert.
-  std::atomic<bool> again{false};
-  scoped.pool().submit_blocking([&] { again.store(true); }).wait();
-  EXPECT_TRUE(again.load());
-  exec::TaskHandle empty;
-  EXPECT_FALSE(empty.valid());
-  empty.wait();  // No-op, must not hang.
-}
-
-TEST(TaskPool, BlockingTasksDoNotStarveParallelFor) {
-  // A blocking task parked on a condition would deadlock a CPU lane;
-  // the blocking lane guarantees parallel_for keeps making progress.
-  exec::ScopedPool scoped(2);
-  std::atomic<bool> release{false};
-  exec::TaskHandle gate = scoped.pool().submit_blocking([&] {
-    while (!release.load()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  });
-  std::atomic<int> sum{0};
-  exec::parallel_for(0, 100, 1,
-                     [&](std::size_t i0, std::size_t i1, std::size_t) {
-                       sum.fetch_add(static_cast<int>(i1 - i0));
-                     });
-  EXPECT_EQ(sum.load(), 100);
-  release.store(true);
-  gate.wait();
 }
 
 // --- bit-identity across widths (the acceptance criterion) ------------------

@@ -411,8 +411,8 @@ TEST(ExecutionPlan, StitchedRangesMatchWholePassAndOracle) {
 }
 
 TEST(ExecutionPlan, FreshEngineRunsATailRange) {
-  // The fleet's tail node: its first call starts mid-network, so the plan
-  // compiles from that layer's input shape.
+  // An engine whose first call starts mid-network (a tail range of a
+  // stitched forward): the plan compiles from that layer's input shape.
   dnn::Network oracle_net = make_cnn();
   dnn::Network net = make_cnn();
   warm_batchnorm(oracle_net, net, kCnnSample);

@@ -1,12 +1,14 @@
 // The scenario DSL's contracts: fail-loudly parsing (unknown sections and
 // keys rejected by name, typed values, undefined ${var} and cyclic include
 // errors naming their source), the expression grammar, include/override
-// merge semantics, arrival-process row shapes, and the serialize round
-// trip — parse(serialize(spec)) is the identity on the canonical form.
+// merge semantics, arrival-process row shapes, the serialize round trip —
+// parse(serialize(spec)) is the identity on the canonical form — and the
+// one-to-one pairing of corpus scenarios with their goldens.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <stdexcept>
 #include <string>
 
@@ -91,10 +93,26 @@ workers = ${workers}
 }
 
 TEST(Scenario, UnknownSectionRejectedByName) {
+  // A typo, and a section the DSL no longer has ([fleet]): both must fail
+  // loudly by name rather than be ignored wholesale.
+  for (const std::string section : {"scenaro", "fleet"}) {
+    SCOPED_TRACE(section);
+    const std::string msg = thrown_message(
+        [&] { (void)parse_text("[" + section + "]\nname = typo\n"); });
+    EXPECT_NE(msg.find("unknown section"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("[" + section + "]"), std::string::npos) << msg;
+  }
+}
+
+TEST(Scenario, UnknownModeRejectedWithTheValidModes) {
   const std::string msg = thrown_message(
-      [] { (void)parse_text("[scenaro]\nname = typo\n"); });
-  EXPECT_NE(msg.find("unknown section"), std::string::npos) << msg;
-  EXPECT_NE(msg.find("scenaro"), std::string::npos) << msg;
+      [] { (void)parse_text("[scenario]\nmode = fleet\n"); });
+  EXPECT_NE(msg.find("unknown mode 'fleet'"), std::string::npos) << msg;
+  const std::size_t expected = msg.find("(expected ");
+  ASSERT_NE(expected, std::string::npos) << msg;
+  const std::string valid = msg.substr(expected);
+  EXPECT_NE(valid.find("serve"), std::string::npos) << msg;
+  EXPECT_EQ(valid.find("fleet"), std::string::npos) << msg;
 }
 
 TEST(Scenario, UnknownKeyRejectedByName) {
@@ -297,8 +315,8 @@ TEST(Scenario, CorpusScenariosParseValidateAndRoundTrip) {
   const std::vector<std::string> corpus{
       "paper-repro",     "thermal-stress", "noisy-fab",
       "flash-crowd",     "multi-tenant-mixed", "dse-budget-sweep",
-      "fleet-4node",     "bench-fig4",     "bench-fig5",
-      "quickstart",      "serving-demo"};
+      "bench-fig4",      "bench-fig5",     "quickstart",
+      "serving-demo"};
   for (const std::string& name : corpus) {
     SCOPED_TRACE(name);
     const ScenarioSpec spec = ScenarioSpec::load(scenario::scenario_path(name));
@@ -310,6 +328,27 @@ TEST(Scenario, CorpusScenariosParseValidateAndRoundTrip) {
                   .serialize(),
               canon);
   }
+}
+
+TEST(Scenario, CorpusScenariosAndGoldensPairOneToOne) {
+  // CI diffs each scenarios/<name>.ini run against scenarios/golden/
+  // <name>.json, iterating the .ini files: a golden whose scenario is gone
+  // would never be checked, and a scenario without a golden fails only in
+  // CI. The two name sets must be equal.
+  namespace fs = std::filesystem;
+  const auto stems = [](const fs::path& dir, const std::string& extension) {
+    std::set<std::string> names;
+    for (const fs::directory_entry& entry : fs::directory_iterator(dir)) {
+      if (entry.is_regular_file() && entry.path().extension() == extension) {
+        names.insert(entry.path().stem().string());
+      }
+    }
+    return names;
+  };
+  const fs::path dir = scenario::default_scenario_dir();
+  const std::set<std::string> scenarios = stems(dir, ".ini");
+  EXPECT_FALSE(scenarios.empty()) << dir;
+  EXPECT_EQ(scenarios, stems(dir / "golden", ".json")) << dir;
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // xl::serve runtime tests: the replay determinism contract (bit-identical
 // logits under any worker count, equal to the direct engine), micro-batcher
-// coalescing/deadline policy, queue semantics, stats aggregation, and the
-// thread-safe Session paths that back the serving worker pool.
+// coalescing/deadline policy, queue semantics, stats aggregation, shard
+// fault injection, and the thread-safe Session paths that back the serving
+// worker pool.
 //
 // The TSan CI job runs this binary with -fsanitize=thread.
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -22,6 +24,7 @@
 #include "dnn/reshape.hpp"
 #include "numerics/rng.hpp"
 #include "serve/serving_runtime.hpp"
+#include "serve/shard.hpp"
 
 namespace xl::serve {
 namespace {
@@ -570,6 +573,85 @@ TEST(ModelRepository, ReplicatesWeightsExactly) {
     }
   }
   EXPECT_THROW((void)repo.replicate("unknown"), std::invalid_argument);
+}
+
+// --- shard fault injection ---------------------------------------------------
+
+MicroBatch make_micro_batch(const std::string& model,
+                            const std::vector<dnn::Tensor>& inputs) {
+  MicroBatch batch;
+  batch.model = model;
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    PendingRequest pending;
+    pending.request.model = model;
+    pending.request.input = inputs[i];
+    pending.enqueued_at = Clock::now();
+    pending.sequence = i;
+    batch.rows += pending.rows();
+    batch.requests.push_back(std::move(pending));
+  }
+  return batch;
+}
+
+TEST(AcceleratorShardFault, FailedBatchFailsEveryPromiseThenShardKeepsServing) {
+  dnn::Network prototype = make_proxy();
+  ModelRepository repo;
+  ServedModel model;
+  model.name = "proxy";
+  model.prototype = &prototype;
+  model.factory = [] { return make_proxy(); };
+  model.input_shape = {1, 1, 12, 12};
+  repo.add(std::move(model));
+  ServingOptions options;
+  options.max_batch = 8;
+  AcceleratorShard shard(/*id=*/0, repo, serving_vdp(), options);
+
+  const dnn::Dataset data = proxy_dataset(16);
+  const std::vector<dnn::Tensor> inputs = make_trace(data, 3);  // 1+2+3 rows.
+
+  // A micro-batch for a model this shard never registered: execute()
+  // throws inside its body, and the catch-all must fail every promise with
+  // that error without counting the batch.
+  MicroBatch bad = make_micro_batch("unregistered", inputs);
+  std::vector<std::future<InferResult>> failed;
+  for (PendingRequest& pending : bad.requests) {
+    failed.push_back(pending.promise.get_future());
+  }
+  shard.execute(std::move(bad));
+  for (auto& future : failed) {
+    ASSERT_EQ(future.wait_for(std::chrono::seconds(0)), std::future_status::ready);
+    EXPECT_THROW((void)future.get(), std::logic_error);
+    EXPECT_FALSE(future.valid());  // Resolved exactly once, now consumed.
+  }
+  const ShardStats after_fault = shard.snapshot();
+  EXPECT_EQ(after_fault.batches, 0u);
+  EXPECT_EQ(after_fault.requests, 0u);
+  EXPECT_EQ(after_fault.samples, 0u);
+  EXPECT_TRUE(after_fault.latencies.empty());
+
+  // The same shard then serves a valid batch bit-identically to the direct
+  // engine on the canonical (boot-state) effect timeline.
+  MicroBatch good = make_micro_batch("proxy", inputs);
+  std::vector<std::future<InferResult>> served;
+  for (PendingRequest& pending : good.requests) {
+    served.push_back(pending.promise.get_future());
+  }
+  shard.execute(std::move(good));
+  std::vector<dnn::Tensor> logits;
+  for (auto& future : served) logits.push_back(future.get().logits);
+
+  dnn::Network reference_net = make_proxy();
+  core::PhotonicInferenceEngine direct(reference_net, serving_vdp());
+  std::vector<dnn::Tensor> reference;
+  for (const dnn::Tensor& input : inputs) {
+    direct.engine().reset_effects();
+    reference.push_back(direct.infer_batch(input));
+  }
+  expect_bit_identical(reference, logits, "shard after a failed batch");
+  const ShardStats after_good = shard.snapshot();
+  EXPECT_EQ(after_good.batches, 1u);
+  EXPECT_EQ(after_good.requests, inputs.size());
+  EXPECT_EQ(after_good.samples, 6u);
 }
 
 // --- the thread-safe Session paths backing the worker pool ------------------
