@@ -151,6 +151,14 @@ void BatchedVdpEngine::gemm(const T* x, std::size_t batch, std::size_t k,
   const bool noisy = fx != nullptr && fx->active() && fx->noise_std > 0.0;
   const std::size_t nchunks = lut.chunks(k);
 
+  const std::size_t arm = lut.arm_table_elems(k, crosstalk);
+  const std::size_t te = arm + k;
+  if (tables.idle.size() != te || tables.carry.size() != outputs * te) {
+    throw std::invalid_argument(
+        "BatchedVdpEngine::photonic_matmul: GemmTableCache sized for a "
+        "different GEMM shape (size with gemm_table_elems)");
+  }
+
   // Activation-side tables, once per (sample, element) and per (sample,
   // chunk), live in the caller's arena for the duration of this call only;
   // rewinding keeps the arena's steady-state usage flat.
@@ -178,13 +186,6 @@ void BatchedVdpEngine::gemm(const T* x, std::size_t batch, std::size_t k,
   // simulated time, so the cache revalidates by time stamp: static
   // pipelines stamp 0.0 and hit forever; time-dependent ones rebuild
   // exactly when the frame has actually moved.
-  const std::size_t arm = lut.arm_table_elems(k, crosstalk);
-  const std::size_t te = arm + k;
-  if (tables.idle.size() != te || tables.carry.size() != outputs * te) {
-    throw std::invalid_argument(
-        "BatchedVdpEngine::photonic_matmul: GemmTableCache sized for a "
-        "different GEMM shape (size with gemm_table_elems)");
-  }
   const double frame_stamp =
       sim_.effects().time_dependent() ? sim_.effects().time_us() : 0.0;
   const bool rebuild_tables = tables.stamp != frame_stamp;

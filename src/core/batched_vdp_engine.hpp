@@ -19,8 +19,9 @@
 // output element is bit-identical to the scalar sim.dot(X.row(b), W.row(o))
 // — verified by tests/test_batched_vdp_engine.cpp.
 //
-// Output tiles are processed in parallel on the xl::exec work-stealing pool;
-// each element is owned by exactly one tile, so results are deterministic for any thread count and steal order.
+// Output tiles are processed in parallel on the xl::exec pool; each element
+// is owned by exactly one tile, so results are deterministic for any thread
+// count and any assignment of tiles to lanes.
 #pragma once
 
 #include <cstddef>

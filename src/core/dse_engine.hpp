@@ -40,8 +40,9 @@ using DseCandidateEvaluator =
     std::function<AcceleratorReport(const DseCandidate&, const xl::dnn::ModelSpec&)>;
 
 /// Progress observer, called after every completed evaluator job with
-/// (jobs done, jobs total). Invoked under a critical section in parallel
-/// runs; completion order is nondeterministic, the counts are monotone.
+/// (jobs done, jobs total). Parallel runs call it lock-free from executor
+/// lanes: each count is unique and done <= total, but calls may overlap
+/// and arrive slightly out of count order (see Options::progress).
 using DseProgress = std::function<void(std::size_t done, std::size_t total)>;
 
 struct DseStats {

@@ -14,9 +14,10 @@ namespace xl::exec {
 /// `body(i0, i1, lane)` is invoked once per canonical tile of
 /// [begin, end) — the tile set is a pure function of (range, grain, pool
 /// width), so per-index values are bit-identical under any thread count
-/// and steal order. `lane` < width() uniquely identifies the executing
-/// hand within this call; index per-lane scratch with it. Blocks until
-/// every tile ran (all tile writes happen-before the return).
+/// and whichever lane claims each tile. `lane` < width() uniquely
+/// identifies the executing hand within this call; index per-lane scratch
+/// with it. Blocks until every tile ran (all tile writes happen-before the
+/// return).
 ///
 /// The callable stays on the caller's stack and travels as a raw
 /// function pointer + context — no heap allocation on any path. It MUST

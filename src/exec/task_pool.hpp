@@ -1,42 +1,47 @@
-// xl::exec — the persistent work-stealing executor under the whole
-// parallel spine (numerics GEMM, core batched VDP + DSE).
+// xl::exec — the persistent executor under the whole parallel spine
+// (numerics GEMM, core batched VDP + DSE).
 //
-// Why it exists: PR 6/8 removed compute and allocator overhead from the
-// hot path, but every inference still paid fork-join setup and barrier
-// cost per GEMM region. This pool is created once per process (or per
+// Why it exists: with SIMD kernels and arena workspaces on the hot path,
+// per-GEMM fork-join setup and barrier cost would dominate a small
+// inference. This pool is created once per process (or per
 // test scope), keeps its workers parked on a condvar parking lot between
 // bursts, and exposes one primitive:
 //
 //   * parallel_for(begin, end, grain, fn) — CPU lanes. The range is cut
 //     into canonical tiles [begin + t*grain, min(end, begin+(t+1)*grain));
 //     the tile set is a PURE FUNCTION of (range, grain, pool width) and
-//     never of runtime stealing order, so any value computed per index is
-//     bit-identical for every thread count and every steal interleaving.
-//     fn is invoked once per tile as fn(i0, i1, lane) where lane ∈
-//     [0, lanes()) uniquely identifies the executing hand *within this
-//     call* (lane 0 = the calling thread) — safe to index per-lane
-//     scratch pools with. The call blocks until every tile ran, which is
-//     also the memory barrier: all tile writes happen-before the return.
+//     never of which lane runs which tile, so any value computed per index
+//     is bit-identical for every thread count and every schedule. fn is
+//     invoked once per tile as fn(i0, i1, lane) where lane ∈ [0, lanes())
+//     uniquely identifies the executing hand *within this call* (lane 0 =
+//     the calling thread) — safe to index per-lane scratch pools with. The
+//     call blocks until every tile ran, which is also the memory barrier:
+//     all tile writes happen-before the return.
 //
 // Loops that block (a serving shard waiting for requests) do not run on
 // the pool: the serving runtime owns dedicated per-shard worker threads.
 //
-// Distribution (deterministic decomposition, dynamic placement): the
-// caller keeps a leading share of tiles for itself and publishes the rest
-// as per-worker chunks in a fixed job slot; the parking lot wakes exactly
-// as many workers as there are chunks. A woken worker claims a chunk,
-// owner-pushes it onto its Chase-Lev deque (work_deque.hpp) and splits it
-// lazily from the bottom; idle workers steal halves from the top. Tiles
-// are executed exactly once regardless of who runs them — placement
-// affects wall-clock only, never values.
+// Distribution: one shared tile cursor per job. The caller takes tile 0,
+// publishes the job in a fixed slot and wakes one parked worker per
+// remaining tile (up to lanes - 1). From then on the caller and every
+// woken worker claim the next tile with fetch_add on the job's cursor
+// until it runs past the last tile, so the load balances itself tile by
+// tile. Placement affects wall-clock only, never values.
+//
+// Completion and slot recycling: a worker counts itself into the job's
+// `inside` counter before it touches the cursor and re-checks that the job
+// is still open; the caller, once the cursor is exhausted, closes the job
+// and waits for `inside` to drain to 0. Both sides are seq_cst (a Dekker
+// handshake), so a worker either sees the job closed and backs out, or is
+// seen by the caller, which then waits for its last tile. Only then is the
+// slot freed for reuse.
 //
 // Zero-allocation contract: parallel_for never touches the heap — jobs
-// live in a fixed slot array, chunk descriptors are embedded, deque rings
-// are preallocated, and fn travels as a raw function pointer + context
-// (exec.hpp provides the lambda trampoline). When every slot is busy or
-// the pool has one lane, the call degrades to inline serial execution of
-// the same tile set. Nested parallel_for calls (from inside a tile) are
-// serialized inline.
+// live in a fixed slot array and fn travels as a raw function pointer +
+// context (exec.hpp provides the lambda trampoline). When every slot is
+// busy or the pool has one lane, the call degrades to inline serial
+// execution of the same tile set. Nested parallel_for calls (from inside
+// a tile) are serialized inline.
 //
 // Width resolution mirrors XL_DISABLE_SIMD: the XL_EXEC_THREADS
 // environment variable overrides the default hardware_concurrency width
@@ -54,13 +59,9 @@
 #include <thread>
 #include <vector>
 
-#include "exec/work_deque.hpp"
-
 namespace xl::exec {
 
-/// Hard lane cap: bounds the embedded per-job chunk array (and therefore
-/// the zero-allocation guarantee). XL_EXEC_THREADS and TaskPool widths
-/// clamp to it.
+/// Hard lane cap. XL_EXEC_THREADS and TaskPool widths clamp to it.
 inline constexpr std::size_t kMaxLanes = 64;
 
 /// Raw tile callback: fn(ctx, i0, i1, lane) runs indices [i0, i1).
@@ -91,72 +92,51 @@ class TaskPool {
 
  private:
   static constexpr std::size_t kJobSlots = 32;
-  /// Tile index/count budget of one packed work ref (24 bits each).
-  static constexpr std::size_t kMaxTiles = (1u << 24) - 1;
-  static constexpr std::size_t kDequeCapacity = 8192;
 
-  enum JobState : std::uint32_t { kFree = 0, kBuilding = 1, kActive = 2 };
+  /// kOwned: held by its caller but closed to workers (being built, or
+  /// closed and draining). Only kActive jobs admit workers.
+  enum JobState : std::uint32_t { kFree = 0, kOwned = 1, kActive = 2 };
 
-  /// One in-flight parallel_for. Fields before `remaining` are written by
-  /// the submitting thread during kBuilding and published by the release
-  /// stores on the chunk claim flags / job state; they are immutable
-  /// while kActive.
+  /// One in-flight parallel_for. The fields before `next` are written by
+  /// the caller while kOwned and published by its store of kActive; they
+  /// are immutable while workers may be inside.
   struct alignas(64) ParallelJob {
     TileFn fn = nullptr;
     void* ctx = nullptr;
     std::size_t begin = 0;
     std::size_t end = 0;
     std::size_t grain = 1;
-    std::atomic<std::uint32_t> nchunks{0};
-    /// Worker-share chunk descriptors. `claimed` rests at 1; the builder
-    /// writes bounds then release-stores 0, and exactly one worker wins
-    /// the 0->1 CAS (acquiring the bounds and the job fields).
-    struct Chunk {
-      std::uint32_t t0 = 0;
-      std::uint32_t t1 = 0;
-      std::atomic<std::uint32_t> claimed{1};
-    };
-    std::array<Chunk, kMaxLanes> chunks;
-    /// Tiles not yet finished; the caller waits for 0. fetch_sub is
-    /// acq_rel, so every tile's writes happen-before the caller's return.
-    alignas(64) std::atomic<std::uint64_t> remaining{0};
+    std::size_t tiles = 0;
+    /// Next unclaimed tile; claims past `tiles` mean the job is exhausted.
+    alignas(64) std::atomic<std::size_t> next{0};
+    /// Workers currently inside the job. Never reset: a worker that
+    /// enters between two jobs in this slot counts for whichever it sees.
+    alignas(64) std::atomic<std::uint32_t> inside{0};
     alignas(64) std::atomic<std::uint32_t> state{kFree};
   };
 
-  static std::uint64_t pack_ref(std::size_t slot, std::size_t t0,
-                                std::size_t count) {
-    return (static_cast<std::uint64_t>(slot) << 48) |
-           (static_cast<std::uint64_t>(t0) << 24) |
-           static_cast<std::uint64_t>(count);
-  }
-
   void run_inline(std::size_t begin, std::size_t end, std::size_t grain,
                   std::size_t tiles, TileFn fn, void* ctx);
-  void run_tiles(ParallelJob& job, std::size_t t0, std::size_t t1,
-                 std::size_t lane);
-  void run_ref(std::uint64_t ref, std::size_t lane);
-  void finish_tiles(ParallelJob& job, std::uint64_t count);
+  /// Run `tile` and then every tile claimed from the cursor on `lane`;
+  /// returns how many tiles ran.
+  std::size_t drain(ParallelJob& job, std::size_t tile, std::size_t lane);
   ParallelJob* claim_slot();
-  bool claim_chunk(std::size_t lane);
-  bool steal(std::size_t lane, std::uint64_t* ref);
+  bool join_active_jobs(std::size_t lane);
   void unpark(std::size_t count);
   void worker_main(std::size_t lane);
 
   const std::size_t lanes_;
   std::array<ParallelJob, kJobSlots> jobs_;
-  std::vector<std::unique_ptr<WorkDeque>> deques_;  ///< [lane - 1].
-  std::vector<std::thread> workers_;                ///< Lanes 1..lanes_-1.
+  std::vector<std::thread> workers_;  ///< Lanes 1..lanes_-1.
 
-  // Parking lot: workers with no claimable work wait on the condvar; a
+  // Parking lot: workers that found no open job wait on the condvar; a
   // submitter bumps the epoch (under the mutex, so a worker between its
-  // last work scan and the wait cannot miss it) and wakes exactly as many
-  // workers as it published chunks.
+  // last job scan and the wait cannot miss it) and wakes as many workers
+  // as it has tiles left for them.
   std::mutex park_mutex_;
   std::condition_variable park_cv_;
   std::atomic<std::uint64_t> park_epoch_{0};
-  std::atomic<std::size_t> idle_{0};
   std::atomic<bool> quit_{false};
-
 };
 
 /// The process-wide pool. Width resolves once, at first use: the

@@ -169,6 +169,25 @@ struct PlannedGemm {
   core::GemmTableCache tables;
 };
 
+// A table cache sized for another GEMM shape is rejected before the call
+// takes any workspace, so the caller's arena is not left bumped.
+TEST(BatchedVdpEngine, MisSizedTableCacheThrowsWithoutBumpingTheArena) {
+  const std::size_t outputs = 6;
+  const std::size_t k = 20;
+  const std::size_t batch = 3;
+  numerics::Rng rng(23);
+  std::vector<float> w(outputs * k);
+  std::vector<float> x(batch * k);
+  for (float& v : w) v = static_cast<float>(rng.uniform(-1.0, 1.0));
+  for (float& v : x) v = static_cast<float>(rng.uniform(-1.0, 1.0));
+  core::BatchedVdpEngine engine;
+  PlannedGemm gemm(engine, w, outputs, k, batch);
+  gemm.tables.idle = gemm.tables.idle.first(gemm.tables.idle.size() - 1);
+  const std::size_t used = gemm.arena.stats().used_bytes;
+  EXPECT_THROW((void)gemm.run(x.data(), batch), std::invalid_argument);
+  EXPECT_EQ(gemm.arena.stats().used_bytes, used);
+}
+
 xl::testing::VdpReference reference_for(const core::VdpSimOptions& opts) {
   const photonics::WavelengthGrid grid(opts.mrs_per_bank, opts.fsr_nm,
                                        opts.center_wavelength_nm);

@@ -433,7 +433,11 @@ TEST(DseEngine, ProgressCallbackIsMonotoneAndComplete) {
   opts.progress = [&](std::size_t done, std::size_t total) {
     EXPECT_GE(done, 1u);
     EXPECT_LE(done, total);
-    last = std::max(last.load(), done);
+    // Calls overlap across lanes: a plain load-then-store max could let a
+    // late, smaller count overwrite the final one.
+    std::size_t seen = last.load();
+    while (seen < done && !last.compare_exchange_weak(seen, done)) {
+    }
     total_seen = total;
   };
   DseEngine engine(opts);

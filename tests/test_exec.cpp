@@ -8,6 +8,7 @@
 #include <atomic>
 #include <mutex>
 #include <set>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -95,7 +96,8 @@ TEST(TaskPool, LaneIdsStayWithinWidth) {
                      });
   ASSERT_FALSE(seen.empty());
   EXPECT_LT(*seen.rbegin(), lanes);
-  // Lane 0 is the caller's private share — it always participates.
+  // The caller takes tile 0 before it publishes the job, so lane 0 always
+  // participates.
   EXPECT_EQ(*seen.begin(), 0u);
 }
 
@@ -117,6 +119,49 @@ TEST(TaskPool, NestedParallelForRunsInlineUnderEnclosingLane) {
   for (std::size_t i = 0; i < inner_hits.size(); ++i) {
     EXPECT_EQ(inner_hits[i].load(), 1) << "nested index " << i;
   }
+}
+
+TEST(TaskPool, ConcurrentCallersShareOnePool) {
+  // Several submitters on one pool: job slots are recycled while other
+  // callers' jobs are live, and workers may enter a slot between two of
+  // its jobs. Every index of every call still runs exactly once.
+  exec::TaskPool pool(4);
+  constexpr std::size_t kCallers = 6;
+  constexpr std::size_t kCalls = 300;
+  constexpr std::size_t kN = 97;
+  struct Call {
+    std::vector<std::atomic<int>> hits = std::vector<std::atomic<int>>(kN);
+    std::atomic<int> bad_lanes{0};
+  };
+  std::atomic<int> failures{0};
+  std::vector<std::thread> callers;
+  for (std::size_t c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&] {
+      Call call;
+      for (std::size_t i = 0; i < kCalls; ++i) {
+        for (auto& hit : call.hits) hit.store(0, std::memory_order_relaxed);
+        pool.parallel_for(
+            0, kN, 1 + i % 5,
+            [](void* ctx, std::size_t i0, std::size_t i1, std::size_t lane) {
+              Call& state = *static_cast<Call*>(ctx);
+              if (lane >= 4) ++state.bad_lanes;
+              for (std::size_t j = i0; j < i1; ++j) {
+                // Yield mid-tile so a caller that returned before every
+                // worker left its job would see a hit still missing.
+                std::this_thread::yield();
+                state.hits[j].fetch_add(1, std::memory_order_relaxed);
+              }
+            },
+            &call);
+        for (const auto& hit : call.hits) {
+          if (hit.load(std::memory_order_relaxed) != 1) ++failures;
+        }
+      }
+      failures += call.bad_lanes.load();
+    });
+  }
+  for (auto& caller : callers) caller.join();
+  EXPECT_EQ(failures.load(), 0);
 }
 
 TEST(TaskPool, ScopedPoolOverridesAndRestoresWidth) {

@@ -654,6 +654,94 @@ TEST(AcceleratorShardFault, FailedBatchFailsEveryPromiseThenShardKeepsServing) {
   EXPECT_EQ(after_good.samples, 6u);
 }
 
+// --- a forward that throws mid-micro-batch ----------------------------------
+
+constexpr float kTripwire = 1234.5F;
+
+/// Electronic pass-through layer whose forward throws when any row's first
+/// input is the sentinel: a failure inside a planned micro-batch, with the
+/// photonic steps still ahead of it.
+class TripwireLayer : public dnn::Layer {
+ public:
+  dnn::Tensor forward(const dnn::Tensor& input, bool) override {
+    const std::size_t row_elems = input.numel() / input.dim(0);
+    for (std::size_t r = 0; r < input.dim(0); ++r) {
+      if (input[r * row_elems] == kTripwire) throw std::runtime_error("tripwire");
+    }
+    return input;
+  }
+  dnn::Tensor backward(const dnn::Tensor& grad_output) override { return grad_output; }
+  [[nodiscard]] std::string kind() const override { return "tripwire"; }
+  [[nodiscard]] dnn::Shape output_shape(const dnn::Shape& input_shape) const override {
+    return input_shape;
+  }
+};
+
+dnn::Network make_tripwire(unsigned seed = 9) {
+  numerics::Rng rng(seed);
+  dnn::Network net;
+  net.emplace<dnn::Flatten>();
+  net.emplace<TripwireLayer>();
+  net.emplace<dnn::Dense>(16, 8, rng);
+  net.emplace<dnn::Dense>(8, 4, rng);
+  return net;
+}
+
+TEST(ServingRuntimeFault, ForwardThrowingMidBatchResolvesEveryFutureOnce) {
+  dnn::Network prototype = make_tripwire();
+  ServingOptions options;
+  options.workers = 1;
+  options.max_batch = 8;
+  options.deadline_us = 20000.0;  // Long enough for the burst to coalesce.
+  ServingRuntime runtime(serving_vdp(), options);
+  runtime.register_model("trip", prototype, [] { return make_tripwire(/*seed=*/1); },
+                         {1, 1, 4, 4});
+  runtime.start();
+
+  numerics::Rng rng(31);
+  auto make_input = [&](std::size_t rows) {
+    dnn::Tensor t({rows, 1, 4, 4});
+    for (std::size_t j = 0; j < t.numel(); ++j) t[j] = static_cast<float>(rng.uniform(-1.0, 1.0));
+    return t;
+  };
+  // Healthy requests around one whose last row carries the sentinel.
+  constexpr std::size_t kSentinel = 3;
+  std::vector<dnn::Tensor> inputs;
+  for (std::size_t i = 0; i < 7; ++i) inputs.push_back(make_input(1 + i % 2));
+  inputs[kSentinel][inputs[kSentinel].numel() - 16] = kTripwire;
+  std::vector<std::future<InferResult>> futures;
+  for (const dnn::Tensor& input : inputs) futures.push_back(runtime.submit("trip", input));
+
+  dnn::Network reference_net = make_tripwire();
+  core::PhotonicInferenceEngine direct(reference_net, serving_vdp());
+  auto reference = [&](const dnn::Tensor& input) {
+    direct.engine().reset_effects();
+    return direct.infer_batch(input);
+  };
+  std::size_t failed = 0;
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    ASSERT_EQ(futures[i].wait_for(std::chrono::seconds(30)), std::future_status::ready)
+        << "request " << i << " never resolved";
+    try {
+      const InferResult result = futures[i].get();
+      EXPECT_NE(i, kSentinel) << "the sentinel request must fail";
+      expect_bit_identical({reference(inputs[i])}, {result.logits}, "healthy request");
+    } catch (const std::runtime_error& error) {
+      EXPECT_STREQ(error.what(), "tripwire") << "request " << i;
+      ++failed;
+    }
+    EXPECT_FALSE(futures[i].valid());  // Resolved exactly once, now consumed.
+  }
+  EXPECT_GE(failed, 1u);
+
+  // The runtime keeps serving, bit-identically to the direct engine.
+  const dnn::Tensor next = make_input(3);
+  const InferResult after = runtime.submit("trip", next).get();
+  expect_bit_identical({reference(next)}, {after.logits}, "request after the fault");
+  runtime.stop();
+  EXPECT_EQ(runtime.stats().requests, futures.size() - failed + 1);
+}
+
 // --- the thread-safe Session paths backing the worker pool ------------------
 
 TEST(SessionThreadSafety, ConcurrentBackendAndEvaluateCalls) {
