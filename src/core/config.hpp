@@ -35,7 +35,7 @@ struct ArchitectureConfig {
 
   Variant variant = Variant::kOptTed;
 
-  /// Adjacent-MR pitch. TED variants sit at the Fig. 4 optimum (5 um);
+  /// Adjacent-MR pitch. TED variants sit at the paper's Fig. 4 optimum (5 um);
   /// non-TED variants need crosstalk guard spacing (Section IV-A: 120 um).
   double pitch_ted_um = 5.0;
   double pitch_guard_um = 120.0;

@@ -31,7 +31,7 @@ namespace xl::core {
 /// excursion wanders the whole bank. Time advances once per accelerated layer
 /// (PhotonicInferenceEngine) or explicitly via EffectPipeline::advance.
 struct ThermalEffectConfig {
-  double pitch_um = 5.0;        ///< Ring spacing (the Fig. 4 optimum).
+  double pitch_um = 5.0;        ///< Ring spacing (the paper's Fig. 4 optimum).
   bool use_ted = true;          ///< TED collective trim vs. naive per-heater.
   double ambient_drift_nm = 0.05;   ///< Peak ambient resonance excursion.
   double ambient_period_us = 400.0; ///< Period of the ambient wander.

@@ -6,9 +6,9 @@
 //     never needed there). Model 4's parameter count matches the paper's
 //     38,951,745 exactly (it is the Koch et al. Siamese network); models 1-3
 //     are custom CNNs reconstructed to within < 0.2% of the reported counts
-//     (actual vs. paper counts printed by bench_table1_models).
+//     (tests/test_models.cpp checks both).
 //   * reduced trainable Network — same topology at reduced geometry/width so
-//     the Fig. 5 QAT sweep trains in seconds on a CPU.
+//     functional accuracy runs train in seconds on a CPU.
 #pragma once
 
 #include <vector>

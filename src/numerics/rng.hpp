@@ -42,9 +42,6 @@ class Rng {
   /// Fisher-Yates shuffle of an index range [0, n).
   [[nodiscard]] std::vector<std::size_t> permutation(std::size_t n);
 
-  /// Access the raw engine (for std::shuffle etc.).
-  std::mt19937_64& engine() noexcept { return engine_; }
-
  private:
   std::mt19937_64 engine_;
 };

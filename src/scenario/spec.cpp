@@ -130,8 +130,7 @@ std::vector<std::size_t> ArrivalSpec::request_rows(std::size_t max_rows) const {
   return rows;
 }
 
-ScenarioSpec ScenarioSpec::parse(const ScenarioDocument& doc,
-                                 const std::vector<std::string>& extra_sections) {
+ScenarioSpec ScenarioSpec::parse(const ScenarioDocument& doc) {
   ScenarioSpec spec;
 
   // Reject unknown sections by name before touching any key: a misspelled
@@ -141,14 +140,7 @@ ScenarioSpec ScenarioSpec::parse(const ScenarioDocument& doc,
                                        "eval",     "arrivals", "serving",
                                        "dse"};
   for (const std::string& name : doc.section_names()) {
-    if (known.count(name) != 0) continue;
-    // "x-" prefixed sections are private extension payloads (e.g. [x-fig4]
-    // carrying a bench's sweep axes) — always admitted, consumed by their
-    // owner via SectionReader, never by the spec.
-    if (name.rfind("x-", 0) == 0) continue;
-    bool allowed = false;
-    for (const std::string& extra : extra_sections) allowed |= extra == name;
-    if (!allowed) {
+    if (known.count(name) == 0) {
       throw std::invalid_argument("scenario: unknown section [" + name + "] in " +
                                   doc.path());
     }
@@ -335,9 +327,8 @@ ScenarioSpec ScenarioSpec::parse(const ScenarioDocument& doc,
   return spec;
 }
 
-ScenarioSpec ScenarioSpec::load(const std::string& path,
-                                const std::vector<std::string>& extra_sections) {
-  return parse(ScenarioDocument::parse_file(path), extra_sections);
+ScenarioSpec ScenarioSpec::load(const std::string& path) {
+  return parse(ScenarioDocument::parse_file(path));
 }
 
 void ScenarioSpec::validate() const {

@@ -102,19 +102,13 @@ struct ScenarioSpec {
   std::size_t dse_top_k = 0;  ///< 0 = full ranking.
   bool dse_serial = false;
 
-  /// Parse and validate a document. Sections prefixed "x-" (private
-  /// extension payloads, e.g. [x-fig4] carrying a bench's sweep axes) are
-  /// always admitted and left for the caller to consume via SectionReader;
-  /// `extra_sections` names further caller-owned sections; any other
-  /// unknown section is rejected by name. Throws std::invalid_argument /
-  /// std::runtime_error with messages naming [section].key and file:line.
-  [[nodiscard]] static ScenarioSpec parse(
-      const ScenarioDocument& doc,
-      const std::vector<std::string>& extra_sections = {});
+  /// Parse and validate a document. An unknown section is rejected by
+  /// name. Throws std::invalid_argument / std::runtime_error with messages
+  /// naming [section].key and file:line.
+  [[nodiscard]] static ScenarioSpec parse(const ScenarioDocument& doc);
 
   /// parse_file + parse in one step.
-  [[nodiscard]] static ScenarioSpec load(
-      const std::string& path, const std::vector<std::string>& extra_sections = {});
+  [[nodiscard]] static ScenarioSpec load(const std::string& path);
 
   /// Canonical normal form: every knob explicit, sections in the order of
   /// the map above. parse(serialize()) reproduces this spec exactly (the

@@ -7,8 +7,8 @@
 //   * from_heat_solver  — samples the FD solver's influence kernel (the
 //                         faithful "Lumerical HEAT substitute" path), and
 //   * exponential       — the analytic exp(-d/d0) kernel observed in
-//                         De et al., IEEE Access 2020 (paper ref [24]),
-//                         calibrated against the solver (fast path for DSE).
+//                         De et al., IEEE Access 2020 (paper ref [24]), the
+//                         fast path for DSE.
 #pragma once
 
 #include <vector>
@@ -23,9 +23,9 @@ struct CouplingModelConfig {
   /// 27.5 mW moves the resonance one FSR = 2*pi of round-trip phase, so the
   /// self-coupling efficiency is 2*pi / 27.5 rad/mW (Table II, [17]).
   double self_phase_rad_per_mw = 2.0 * 3.14159265358979323846 / 27.5;
-  /// Decay length of the exponential crosstalk kernel, um. Calibrated so the
-  /// Fig. 4 TED tuning-power minimum for a 10-MR bank lands at the paper's
-  /// 5 um optimum (see bench_fig4_thermal_crosstalk).
+  /// Decay length of the exponential crosstalk kernel, um: a fixed
+  /// device-level constant (calibrate_kernel fits one to the FD solver
+  /// instead).
   double decay_length_um = 2.4;
   /// Crosstalk ratio extrapolated at zero separation (< 1: heaters never
   /// couple perfectly into a neighbouring ring).

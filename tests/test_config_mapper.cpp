@@ -37,7 +37,7 @@ TEST(Config, VariantFlags) {
 TEST(Config, PitchFollowsVariant) {
   ArchitectureConfig cfg = best_config();
   cfg.variant = Variant::kOptTed;
-  EXPECT_DOUBLE_EQ(cfg.mr_pitch_um(), 5.0);    // Fig. 4 optimum.
+  EXPECT_DOUBLE_EQ(cfg.mr_pitch_um(), 5.0);    // The paper's Fig. 4 optimum.
   cfg.variant = Variant::kOpt;
   EXPECT_DOUBLE_EQ(cfg.mr_pitch_um(), 120.0);  // Guard spacing (Sec. IV-A).
 }

@@ -1,12 +1,46 @@
-// Functional optoelectronic device model tests (MZM, PD, VCSEL, quantizer).
+// Optoelectronic device tests: the Table II parameter set and the functional
+// device models (MZM, PD, VCSEL, quantizer).
 #include <gtest/gtest.h>
 
 #include <vector>
 
+#include "photonics/device_params.hpp"
 #include "photonics/devices.hpp"
 
 namespace xl::photonics {
 namespace {
+
+TEST(DeviceParams, DefaultsMatchTableTwo) {
+  const DeviceParams p = default_device_params();
+  // Table II: latency / power per device.
+  EXPECT_DOUBLE_EQ(p.eo_tuning_latency_ns, 20.0);
+  EXPECT_DOUBLE_EQ(p.eo_tuning_power_uw_per_nm, 4.0);
+  EXPECT_DOUBLE_EQ(p.to_tuning_latency_us, 4.0);
+  EXPECT_DOUBLE_EQ(p.to_tuning_power_mw_per_fsr, 27.5);
+  EXPECT_DOUBLE_EQ(p.vcsel_latency_ns, 10.0);
+  EXPECT_DOUBLE_EQ(p.vcsel_power_mw, 0.66);
+  EXPECT_DOUBLE_EQ(p.tia_latency_ns, 0.15);
+  EXPECT_DOUBLE_EQ(p.tia_power_mw, 7.2);
+  EXPECT_DOUBLE_EQ(p.pd_latency_ns, 0.0058);  // 5.8 ps.
+  EXPECT_DOUBLE_EQ(p.pd_power_mw, 2.8);
+  EXPECT_DOUBLE_EQ(p.transceiver_max_rate_gbps, 56.0);  // ADC/DAC [37].
+  EXPECT_DOUBLE_EQ(p.transceiver_max_power_mw, 250.0);
+  // Section V-A signal losses.
+  EXPECT_DOUBLE_EQ(p.propagation_loss_db_per_cm, 1.0);
+  EXPECT_DOUBLE_EQ(p.splitter_loss_db, 0.13);
+  EXPECT_DOUBLE_EQ(p.combiner_loss_db, 0.9);
+  EXPECT_DOUBLE_EQ(p.mr_through_loss_db, 0.02);
+  EXPECT_DOUBLE_EQ(p.mr_modulation_loss_db, 0.72);
+  EXPECT_DOUBLE_EQ(p.microdisk_loss_db, 1.22);
+  EXPECT_DOUBLE_EQ(p.eo_tuning_loss_db_per_cm, 6.0);
+  EXPECT_DOUBLE_EQ(p.to_tuning_loss_db_per_cm, 1.0);
+  // Section IV-A FPV drifts and the fabricated MR's Q / FSR / wavelength.
+  EXPECT_DOUBLE_EQ(p.fpv_drift_conventional_nm, 7.1);
+  EXPECT_DOUBLE_EQ(p.fpv_drift_optimized_nm, 2.1);
+  EXPECT_DOUBLE_EQ(p.mr_q_factor, 8000.0);
+  EXPECT_DOUBLE_EQ(p.mr_fsr_nm, 18.0);
+  EXPECT_DOUBLE_EQ(p.center_wavelength_nm, 1550.0);
+}
 
 TEST(Mzm, ScalesPowerByValue) {
   EXPECT_DOUBLE_EQ(MachZehnderModulator::modulate(2.0, 0.5), 1.0);

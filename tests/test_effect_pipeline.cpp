@@ -23,6 +23,7 @@
 #include "dnn/conv2d.hpp"
 #include "dnn/datasets.hpp"
 #include "dnn/dense.hpp"
+#include "dnn/models.hpp"
 #include "dnn/pooling.hpp"
 #include "dnn/reshape.hpp"
 #include "exec/task_pool.hpp"
@@ -273,6 +274,51 @@ TEST(EffectPipeline, ThermalTelemetryReproducesFig4Ordering) {
   EXPECT_EQ(n->residual_rms_nm, n->naive_residual_rms_nm);
   EXPECT_EQ(t->residual_rms_nm, t->ted_residual_rms_nm);
   EXPECT_EQ(n->ted_residual_rms_nm, t->ted_residual_rms_nm);
+}
+
+TEST(EffectPipeline, ThermalStageReproducesFig4ShapesAcrossPitch) {
+  // Fig. 4's pitch axis on a bank of 10 MRs, with the proxy MLP run on the
+  // functional datapath under the thermal stage. Without TED, per-heater
+  // drive diverges at dense pitch and loses the network until the rings are
+  // far apart; with TED, power stays bounded and accuracy never moves. (The
+  // paper's TED power minimum at 5 um is not reproduced: TED power is not
+  // U-shaped here.)
+  const std::vector<double> pitches = {1.0, 2.0,  3.0,  4.0,  5.0, 6.0,
+                                       8.0, 10.0, 12.0, 16.0, 20.0};
+  dnn::Table1ProxyMlp proxy = dnn::train_table1_proxy_mlp(20);
+  constexpr std::size_t kSamples = 64;
+  std::vector<double> ted_power, naive_power, ted_acc, naive_acc;
+  for (const double pitch : pitches) {
+    for (const bool use_ted : {true, false}) {
+      core::VdpSimOptions opts;
+      opts.mrs_per_bank = 10;
+      opts.effects.thermal = true;
+      opts.effects.thermal_stage.pitch_um = pitch;
+      opts.effects.thermal_stage.use_ted = use_ted;
+      core::PhotonicInferenceEngine engine(proxy.net, opts);
+      (use_ted ? ted_acc : naive_acc)
+          .push_back(engine.evaluate_accuracy(proxy.test, kSamples));
+      if (use_ted) {
+        const core::ThermalTelemetry* t = engine.engine().effects().thermal_telemetry();
+        ASSERT_NE(t, nullptr);
+        ted_power.push_back(t->ted_mean_power_mw);
+        naive_power.push_back(t->naive_mean_power_mw);
+      }
+    }
+  }
+  for (std::size_t i = 0; i < pitches.size(); ++i) {
+    SCOPED_TRACE(pitches[i]);
+    EXPECT_GE(naive_power[i], ted_power[i]);
+    EXPECT_LT(ted_power[i], 2.5);
+    EXPECT_EQ(ted_acc[i], ted_acc.front());
+    if (pitches[i] <= 5.0) {
+      EXPECT_LT(naive_acc[i], 0.1);
+    }
+  }
+  EXPECT_GT(naive_power.front(), 5.0 * ted_power.front());   // 1 um: diverges.
+  EXPECT_LT(naive_power.back(), 1.01 * ted_power.back());    // 20 um: converges.
+  EXPECT_GT(ted_acc.front(), 0.6);
+  EXPECT_EQ(naive_acc.back(), ted_acc.back());  // Recovered by 20 um.
 }
 
 TEST(EffectPipeline, ConfigParseAndSummaryRoundTrip) {

@@ -26,7 +26,6 @@
 #include "core/execution_plan.hpp"
 #include "core/photonic_inference.hpp"
 #include "dnn/activations.hpp"
-#include "dnn/batchnorm.hpp"
 #include "dnn/conv2d.hpp"
 #include "dnn/datasets.hpp"
 #include "dnn/dense.hpp"
@@ -64,13 +63,12 @@ dnn::Network make_mlp(unsigned seed = 21) {
 }
 
 /// Small CNN exercising every layer the plan compiles: Conv (padded and
-/// unpadded), BatchNorm, ReLU/Sigmoid/Tanh, MaxPool, AvgPool, Flatten,
-/// Dropout (inference identity), Dense.
+/// unpadded), ReLU/Sigmoid/Tanh, MaxPool, AvgPool, Flatten, Dropout
+/// (inference identity), Dense.
 dnn::Network make_cnn(unsigned seed = 7) {
   numerics::Rng rng(seed);
   dnn::Network net;
   net.emplace<dnn::Conv2d>(dnn::Conv2dConfig{2, 3, 3, 1, 1}, rng);  // (3,8,8)
-  net.emplace<dnn::BatchNorm>(3);
   net.emplace<dnn::ReLU>();
   net.emplace<dnn::MaxPool2d>(2);  // (3,4,4)
   net.emplace<dnn::AvgPool2d>(2);  // (3,2,2)
@@ -96,18 +94,6 @@ Tensor make_batch(const Shape& sample_shape, std::size_t rows, unsigned seed) {
     x[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
   }
   return x;
-}
-
-/// Feed identical training batches through both networks so BatchNorm
-/// running statistics are non-trivial AND identical across the pair.
-void warm_batchnorm(dnn::Network& a, dnn::Network& b, const Shape& sample_shape) {
-  for (unsigned pass = 0; pass < 3; ++pass) {
-    const Tensor x = make_batch(sample_shape, 4, 100 + pass);
-    Tensor ya = x;
-    Tensor yb = x;
-    for (std::size_t i = 0; i < a.layer_count(); ++i) ya = a.layer(i).forward(ya, true);
-    for (std::size_t i = 0; i < b.layer_count(); ++i) yb = b.layer(i).forward(yb, true);
-  }
 }
 
 void expect_bit_identical(const Tensor& a, const Tensor& b) {
@@ -273,7 +259,6 @@ TEST(ExecutionPlan, CnnBitIdenticalAcrossEffectSets) {
     SCOPED_TRACE(effects);
     dnn::Network oracle_net = make_cnn();
     dnn::Network planned_net = make_cnn();
-    warm_batchnorm(oracle_net, planned_net, kCnnSample);
     check_plan_bit_identity(oracle_net, planned_net, kCnnSample, effects);
   }
 }
@@ -374,7 +359,6 @@ TEST(ExecutionPlan, InferBatchRecompilesOnSampleShapeChange) {
 TEST(ExecutionPlan, StitchedRangesMatchWholePassAndOracle) {
   dnn::Network oracle_net = make_cnn();
   dnn::Network net = make_cnn();
-  warm_batchnorm(oracle_net, net, kCnnSample);
   const VdpSimOptions vdp = vdp_with("all");
   const Tensor x = make_batch(kCnnSample, 4, 23);
 
@@ -415,9 +399,8 @@ TEST(ExecutionPlan, FreshEngineRunsATailRange) {
   // stitched forward): the plan compiles from that layer's input shape.
   dnn::Network oracle_net = make_cnn();
   dnn::Network net = make_cnn();
-  warm_batchnorm(oracle_net, net, kCnnSample);
   const VdpSimOptions vdp = vdp_with("all");
-  const std::size_t split = 6;  // After the second conv: input (N, 4, 2, 2).
+  const std::size_t split = 5;  // After the second conv: input (N, 4, 2, 2).
   const Tensor x = make_batch(kCnnSample, 3, 29);
 
   core::BatchedVdpEngine oracle(vdp);
@@ -447,7 +430,6 @@ TEST(ExecutionPlan, FreshEngineRunsATailRange) {
 TEST(ExecutionPlan, ReferencePassMatchesOracleLayerError) {
   dnn::Network oracle_net = make_cnn();
   dnn::Network net = make_cnn();
-  warm_batchnorm(oracle_net, net, kCnnSample);
   const VdpSimOptions vdp = vdp_with("all");
   const Tensor x = make_batch(kCnnSample, 5, 31);
 
@@ -512,8 +494,6 @@ TEST(NonFiniteInput, EngineEntryPointsNameTheRow) {
 
 TEST(ExecutionPlan, SteadyStateMakesNoHeapAllocations) {
   dnn::Network net = make_cnn();
-  dnn::Network scratch = make_cnn();
-  warm_batchnorm(net, scratch, kCnnSample);
   PhotonicInferenceEngine planned(net, vdp_with("all"));
   planned.prepare_plan(kCnnSample, 8);
 
@@ -783,7 +763,6 @@ TEST(TrainingGatedCaches, InferenceForwardLeavesNoBackwardState) {
   dnn::Conv2d conv(dnn::Conv2dConfig{1, 2, 3, 1, 1}, rng);
   dnn::Dense dense(8, 4, rng);
   dnn::ReLU relu;
-  dnn::BatchNorm bn(2);
   dnn::MaxPool2d pool(2);
 
   const Tensor image = make_batch({1, 1, 4, 4}, 2, 5);
@@ -802,23 +781,8 @@ TEST(TrainingGatedCaches, InferenceForwardLeavesNoBackwardState) {
   EXPECT_THROW((void)dense.backward(dense_out), std::logic_error);
   const Tensor relu_out = relu.forward(row, false);
   EXPECT_THROW((void)relu.backward(relu_out), std::logic_error);
-  const Tensor bn_out = bn.forward(conv.forward(image, false), false);
-  EXPECT_THROW((void)bn.backward(bn_out), std::logic_error);
   const Tensor pool_out = pool.forward(image, false);
   EXPECT_THROW((void)pool.backward(pool_out), std::logic_error);
-}
-
-TEST(TrainingGatedCaches, InferenceForwardMatchesTraininglessLegacy) {
-  // The gating is observable only through backward(); forward values at
-  // inference must be unchanged. BatchNorm is the interesting case: its
-  // inference branch was rewritten around a preallocated inv-std table.
-  numerics::Rng rng(4);
-  dnn::BatchNorm bn(3);
-  const Tensor x = make_batch({1, 3, 4, 4}, 2, 8);
-  (void)bn.forward(x, true);  // Non-trivial running stats.
-  const Tensor once = bn.forward(x, false);
-  const Tensor twice = bn.forward(x, false);
-  expect_bit_identical(once, twice);
 }
 
 }  // namespace

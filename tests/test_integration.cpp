@@ -16,7 +16,6 @@
 #include "dnn/trainer.hpp"
 #include "numerics/rng.hpp"
 #include "photonics/crosstalk.hpp"
-#include "thermal/tuning.hpp"
 
 namespace {
 
@@ -131,36 +130,6 @@ TEST(Integration, ResolutionAnalysisConsistentWithArchitecture) {
   const int bits = photonics::bank_resolution_bits(cfg.mrs_per_bank,
                                                    cfg.devices.mr_fsr_nm, opts);
   EXPECT_GE(bits, cfg.resolution_bits);
-}
-
-TEST(Integration, TuningChainFeedsPowerModel) {
-  // The thermal tuning controller and the architecture power model must tell
-  // the same story: hybrid TED banks need less static power than
-  // thermal-only banks at their respective operating points.
-  const auto params = photonics::default_device_params();
-  thermal::TuningBankConfig ted;
-  ted.rings = 15;
-  ted.pitch_um = 5.0;
-  ted.mode = thermal::TuningMode::kHybridTed;
-  thermal::TuningBankConfig naive;
-  naive.rings = 15;
-  naive.pitch_um = 120.0;
-  naive.mode = thermal::TuningMode::kThermalOnly;
-
-  const photonics::FpvModel fpv;
-  const auto drifts =
-      fpv.row_drifts_nm(photonics::MrDesignKind::kOptimized, 15, 5.0);
-
-  const thermal::HybridTuningController ted_ctl(ted, params);
-  const thermal::HybridTuningController naive_ctl(naive, params);
-  const auto ted_report = ted_ctl.plan(drifts);
-  const auto naive_report = naive_ctl.plan(drifts);
-
-  // Static trim comparable, but runtime imprint energy differs by orders of
-  // magnitude — the architecture-level power gap of Fig. 7.
-  EXPECT_LT(ted_report.eo_energy_per_imprint_pj,
-            0.01 * naive_report.eo_energy_per_imprint_pj);
-  EXPECT_LT(ted_report.imprint_latency_ns, naive_report.imprint_latency_ns);
 }
 
 TEST(Integration, EndToEndVariantEvaluationStable) {

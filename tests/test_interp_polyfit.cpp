@@ -1,39 +1,13 @@
-// Interpolation and curve-fitting tests (device-model calibration support).
+// Curve-fitting tests (device-model calibration support).
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <vector>
 
-#include "numerics/interp.hpp"
 #include "numerics/polyfit.hpp"
 
 namespace xl::numerics {
 namespace {
-
-TEST(LinearInterpolator, ExactAtKnots) {
-  const LinearInterpolator f({0.0, 1.0, 2.0}, {1.0, 3.0, 2.0});
-  EXPECT_DOUBLE_EQ(f(0.0), 1.0);
-  EXPECT_DOUBLE_EQ(f(1.0), 3.0);
-  EXPECT_DOUBLE_EQ(f(2.0), 2.0);
-}
-
-TEST(LinearInterpolator, MidpointIsAverage) {
-  const LinearInterpolator f({0.0, 2.0}, {0.0, 4.0});
-  EXPECT_DOUBLE_EQ(f(1.0), 2.0);
-}
-
-TEST(LinearInterpolator, ClampsOutOfRange) {
-  const LinearInterpolator f({0.0, 1.0}, {5.0, 7.0});
-  EXPECT_DOUBLE_EQ(f(-10.0), 5.0);
-  EXPECT_DOUBLE_EQ(f(10.0), 7.0);
-}
-
-TEST(LinearInterpolator, RejectsNonIncreasing) {
-  EXPECT_THROW(LinearInterpolator({0.0, 0.0}, {1.0, 2.0}), std::invalid_argument);
-  EXPECT_THROW(LinearInterpolator({1.0, 0.0}, {1.0, 2.0}), std::invalid_argument);
-  EXPECT_THROW(LinearInterpolator({}, {}), std::invalid_argument);
-  EXPECT_THROW(LinearInterpolator({1.0}, {1.0, 2.0}), std::invalid_argument);
-}
 
 TEST(Polyfit, RecoverQuadratic) {
   std::vector<double> xs;

@@ -117,6 +117,40 @@ TEST(Power, OptimizedMrsCutTuningPower) {
   EXPECT_LT(base_power / opt_power, 5.0);
 }
 
+TEST(Power, EoImprintEnergyFollowsTableTwo) {
+  // Every pass re-imprints an arm's two banks over fast EO tuning:
+  // 4 uW/nm x 0.5 nm x 20 ns = 0.04 pJ per MR, so 2 x 15 MRs cost 1.2 pJ.
+  // 1000 passes per 1 us frame then dissipate 1.2 nJ / 1 us = 1.2 mW.
+  const ArchitectureConfig cfg = best_config();
+  ASSERT_EQ(cfg.mrs_per_bank, 15U);
+  ModelMapping mapping;
+  mapping.total_passes = 1000;
+  PerformanceReport perf;
+  perf.frame_latency_us = 1.0;
+  EXPECT_NEAR(evaluate_power(mapping, cfg, perf).eo_tuning_mw, 1.2, 1e-12);
+}
+
+TEST(Power, TrimPowerFollowsFpvDrift) {
+  // The static trim solves |drift| x 2 pi / FSR targets: more drift costs
+  // more power, and zero drift leaves nothing to trim. Without TED, runtime
+  // weights also ride on TO tuning, which holds 0.5 nm x 27.5 mW / 18 nm
+  // per MR whatever the drift.
+  for (const Variant v : {Variant::kOptTed, Variant::kOpt}) {
+    SCOPED_TRACE(variant_name(v));
+    ArchitectureConfig cfg = best_config();
+    cfg.variant = v;
+    const double nominal = total_to_tuning_power_mw(cfg);
+    cfg.devices.fpv_drift_optimized_nm *= 2.0;
+    EXPECT_GT(total_to_tuning_power_mw(cfg), nominal);
+    cfg.devices.fpv_drift_optimized_nm = 0.0;
+    const double weight_hold_mw =
+        variant_uses_ted(v)
+            ? 0.0
+            : 0.5 * 27.5 / 18.0 * static_cast<double>(cfg.total_mrs());
+    EXPECT_NEAR(total_to_tuning_power_mw(cfg), weight_hold_mw, 1e-9);
+  }
+}
+
 TEST(Power, WavelengthReuseBoundsLaserPower) {
   // An FC unit (K=150) reuses the 15-wavelength comb: its laser power must
   // be far below a hypothetical one-wavelength-per-element unit. Compare

@@ -19,7 +19,6 @@ namespace {
 using namespace xl;
 using scenario::ScenarioDocument;
 using scenario::ScenarioSpec;
-using scenario::SectionReader;
 
 ScenarioSpec parse_text(const std::string& text) {
   return ScenarioSpec::parse(ScenarioDocument::parse_text(text, "mem://test.ini"));
@@ -93,9 +92,9 @@ workers = ${workers}
 }
 
 TEST(Scenario, UnknownSectionRejectedByName) {
-  // A typo, and a section the DSL no longer has ([fleet]): both must fail
-  // loudly by name rather than be ignored wholesale.
-  for (const std::string section : {"scenaro", "fleet"}) {
+  // A typo, a section the DSL no longer has ([fleet]) and an x- prefixed
+  // section: all must fail loudly by name rather than be ignored wholesale.
+  for (const std::string section : {"scenaro", "fleet", "x-sweep"}) {
     SCOPED_TRACE(section);
     const std::string msg = thrown_message(
         [&] { (void)parse_text("[" + section + "]\nname = typo\n"); });
@@ -134,17 +133,6 @@ TEST(Scenario, UndefinedVarNamesTheVariable) {
   const std::string msg = thrown_message(
       [] { (void)parse_text("[serving]\nworkers = ${nope}\n"); });
   EXPECT_NE(msg.find("nope"), std::string::npos) << msg;
-}
-
-TEST(Scenario, ExtensionSectionsAdmittedAndReadable) {
-  const ScenarioDocument doc = ScenarioDocument::parse_text(
-      "[scenario]\nname = ext\n\n[x-sweep]\npitches = 1, 2, 5\nbank = 10\n",
-      "mem://ext.ini");
-  (void)ScenarioSpec::parse(doc);  // [x-*] never rejected.
-  SectionReader sweep(doc, "x-sweep");
-  EXPECT_EQ(sweep.get_double_list("pitches", {}).size(), 3u);
-  EXPECT_EQ(sweep.get_size("bank", 0), 10u);
-  sweep.finish();
 }
 
 // Hostile expressions: nesting is bounded (a stack overflow is a crash, not
