@@ -183,6 +183,21 @@ void BM_PhotonicDenseBatched(benchmark::State& state) {
 }
 BENCHMARK(BM_PhotonicDenseBatched)->Arg(1)->Arg(16);
 
+/// The im2col patch matrix of `input` under `cfg`, lowered through the
+/// execution plan's gather map.
+numerics::Matrix patch_matrix(const dnn::Tensor& input, const dnn::Conv2dConfig& cfg) {
+  const dnn::Im2colPlan plan = dnn::plan_im2col(input.shape(), cfg);
+  const std::size_t rows = plan.shape.rows;
+  const std::size_t cols = plan.shape.cols;
+  std::vector<float> sample(rows * cols);
+  numerics::Matrix m(input.dim(0) * rows, cols);
+  for (std::size_t n = 0; n < input.dim(0); ++n) {
+    dnn::im2col_gather(plan, input.data() + n * plan.sample_numel, sample.data());
+    for (std::size_t j = 0; j < sample.size(); ++j) m(n * rows + j / cols, j % cols) = sample[j];
+  }
+  return m;
+}
+
 void BM_PhotonicConvScalar(benchmark::State& state) {
   const auto batch = static_cast<std::size_t>(state.range(0));
   numerics::Rng rng(5);
@@ -193,14 +208,14 @@ void BM_PhotonicConvScalar(benchmark::State& state) {
   }
   const auto w = random_matrix(16, 72, rng, -1.0, 1.0);
   const core::VdpSimulator sim;
-  const dnn::Tensor patches = dnn::im2col(input, cfg);
-  const std::size_t rows = patches.dim(0);
+  const numerics::Matrix patches = patch_matrix(input, cfg);
+  const std::size_t rows = patches.rows();
   std::vector<double> xr(72);
   std::vector<double> wr(72);
   for (auto _ : state) {
     double sink = 0.0;
     for (std::size_t r = 0; r < rows; ++r) {
-      for (std::size_t i = 0; i < 72; ++i) xr[i] = patches.at2(r, i);
+      for (std::size_t i = 0; i < 72; ++i) xr[i] = patches(r, i);
       for (std::size_t o = 0; o < 16; ++o) {
         for (std::size_t i = 0; i < 72; ++i) wr[i] = w(o, i);
         sink += sim.dot(xr, wr);
@@ -223,12 +238,8 @@ void BM_PhotonicConvBatched(benchmark::State& state) {
   }
   const auto w = random_matrix(16, 72, rng, -1.0, 1.0);
   core::BatchedVdpEngine engine;
-  const dnn::Tensor patches = dnn::im2col(input, cfg);
-  const std::size_t rows = patches.dim(0);
-  numerics::Matrix x(rows, 72);
-  for (std::size_t r = 0; r < rows; ++r) {
-    for (std::size_t i = 0; i < 72; ++i) x(r, i) = patches.at2(r, i);
-  }
+  const numerics::Matrix x = patch_matrix(input, cfg);
+  const std::size_t rows = x.rows();
   for (auto _ : state) {
     benchmark::DoNotOptimize(engine.photonic_matmul(x, w));
   }

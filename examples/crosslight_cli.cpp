@@ -140,7 +140,7 @@ int list_backends(xl::api::Session& session, bool json) {
 
 void print_functional(const xl::scenario::ScenarioSpec& spec,
                       const xl::scenario::ScenarioOutcome& outcome) {
-  const std::string effects = spec.config.vdp.effective_effects().summary();
+  const std::string effects = spec.config.vdp.effects.summary();
   for (const auto& row : outcome.functional) {
     const auto& fn = row.result.functional;
     std::printf("Table I proxy MLP on %s (effects: %s)\n", row.backend.c_str(),
@@ -210,7 +210,7 @@ void print_serve(const xl::scenario::ScenarioSpec& spec,
   std::printf("  throughput : %.0f samples/s (wall %.1f ms)\n", outcome.achieved_fps,
               outcome.wall_us * 1e-3);
   std::printf("  accuracy   : %.3f (photonic, effects: %s)\n", outcome.served_accuracy,
-              spec.config.vdp.effective_effects().summary().c_str());
+              spec.config.vdp.effects.summary().c_str());
 }
 
 }  // namespace

@@ -45,7 +45,7 @@ EvalResult FunctionalBackend::evaluate(const EvalRequest& request) {
       std::min(request.config.functional_samples, request.dataset->size());
   result.functional.accuracy = engine.evaluate_accuracy(*request.dataset, samples);
   result.functional.samples = samples;
-  result.functional.effects = request.config.vdp.effective_effects().summary();
+  result.functional.effects = request.config.vdp.effects.summary();
   result.functional.stats = engine.stats();
   result.functional.populated = true;
   return result;

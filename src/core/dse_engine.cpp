@@ -79,15 +79,6 @@ std::uint64_t hash_effects(const EffectConfig& fx) noexcept {
 
 bool finite_positive(double v) noexcept { return std::isfinite(v) && v > 0.0; }
 
-/// Doubles compared by object representation: bit-for-bit, NaN-safe.
-bool bits_equal(double a, double b) noexcept {
-  std::uint64_t ia = 0, ib = 0;
-  static_assert(sizeof ia == sizeof a);
-  std::memcpy(&ia, &a, sizeof ia);
-  std::memcpy(&ib, &b, sizeof ib);
-  return ia == ib;
-}
-
 /// A report is sane when every metric the sweep consumes is finite and
 /// positive; anything else marks the candidate degenerate.
 bool report_is_sane(const AcceleratorReport& r) noexcept {
@@ -104,45 +95,6 @@ bool dominates(const DsePoint& a, const DsePoint& b) noexcept {
 }
 
 }  // namespace
-
-bool reports_bit_identical(const AcceleratorReport& a,
-                           const AcceleratorReport& b) noexcept {
-  return a.accelerator == b.accelerator && a.model == b.model &&
-         bits_equal(a.perf.cycle_ns, b.perf.cycle_ns) &&
-         a.perf.batch == b.perf.batch &&
-         bits_equal(a.perf.frame_latency_us, b.perf.frame_latency_us) &&
-         bits_equal(a.perf.fps, b.perf.fps) &&
-         bits_equal(a.power.laser_mw, b.power.laser_mw) &&
-         bits_equal(a.power.to_tuning_mw, b.power.to_tuning_mw) &&
-         bits_equal(a.power.eo_tuning_mw, b.power.eo_tuning_mw) &&
-         bits_equal(a.power.pd_mw, b.power.pd_mw) &&
-         bits_equal(a.power.tia_mw, b.power.tia_mw) &&
-         bits_equal(a.power.vcsel_mw, b.power.vcsel_mw) &&
-         bits_equal(a.power.adc_dac_mw, b.power.adc_dac_mw) &&
-         bits_equal(a.power.control_mw, b.power.control_mw) &&
-         bits_equal(a.area_mm2, b.area_mm2) &&
-         a.resolution_bits == b.resolution_bits &&
-         a.macs_per_frame == b.macs_per_frame;
-}
-
-void DseMemo::merge(const DseMemo& other) {
-  if (other.entries.empty()) return;
-  std::unordered_map<std::string, const AcceleratorReport*> index;
-  index.reserve(entries.size());
-  for (const DseMemoEntry& e : entries) index.emplace(e.key, &e.report);
-  for (const DseMemoEntry& e : other.entries) {
-    const auto it = index.find(e.key);
-    if (it == index.end()) {
-      entries.push_back(e);
-    } else if (!reports_bit_identical(*it->second, e.report)) {
-      throw std::runtime_error(
-          "DseMemo::merge: divergent reports for key '" + e.key +
-          "' — two caches disagree on a deterministic evaluation");
-    }
-  }
-  std::sort(entries.begin(), entries.end(),
-            [](const DseMemoEntry& a, const DseMemoEntry& b) { return a.key < b.key; });
-}
 
 std::string DseEngine::memo_key(const DseCandidate& c,
                                 const xl::dnn::ModelSpec& model) {
@@ -276,12 +228,12 @@ std::vector<DseCandidate> DseEngine::admit(const DseSweep& sweep,
   return admitted;
 }
 
-std::vector<DseMemoEntry> DseEngine::evaluate_missing(
+void DseEngine::evaluate_missing(
     const std::vector<DseCandidate>& candidates,
     const std::vector<xl::dnn::ModelSpec>& models,
     const DseCandidateEvaluator& evaluate,
-    const std::unordered_map<std::string, AcceleratorReport>& store,
-    DseStats* stats) const {
+    std::unordered_map<std::string, AcceleratorReport>& store,
+    DseStats& stats) const {
   // Resolve every (candidate, model) pair against the memo; unseen pairs
   // become jobs, each pair beyond the first with the same key is a hit.
   struct Job {
@@ -296,7 +248,7 @@ std::vector<DseMemoEntry> DseEngine::evaluate_missing(
       for (const auto& model : models) {
         std::string key = memo_key(c, model);
         if (store.count(key) != 0 || pending.count(key) != 0) {
-          if (stats != nullptr) ++stats->cache_hits;
+          ++stats.cache_hits;
           continue;
         }
         pending.emplace(key, jobs.size());
@@ -304,7 +256,7 @@ std::vector<DseMemoEntry> DseEngine::evaluate_missing(
       }
     }
   }
-  if (stats != nullptr) stats->evaluations += jobs.size();
+  stats.evaluations += jobs.size();
 
   // Evaluate. Every job writes into its own pre-sized slot, so the result is
   // identical for any thread count, schedule, and completion order.
@@ -348,16 +300,15 @@ std::vector<DseMemoEntry> DseEngine::evaluate_missing(
     }
   }
 
-  std::vector<DseMemoEntry> fresh;
-  fresh.reserve(jobs.size());
+  // Insert serially, after every evaluation finished, so completion order
+  // never matters.
   for (std::size_t i = 0; i < jobs.size(); ++i) {
-    fresh.push_back(DseMemoEntry{std::move(jobs[i].key), std::move(reports[i])});
+    store.emplace(std::move(jobs[i].key), std::move(reports[i]));
   }
-  return fresh;
 }
 
 namespace {
-/// The built-in evaluator shared by run()/populate() without an explicit one.
+/// The built-in evaluator run() uses without an explicit one.
 AcceleratorReport builtin_evaluate(const DseCandidate& c,
                                    const xl::dnn::ModelSpec& model) {
   return CrossLightAccelerator(c.config).evaluate(model);
@@ -367,50 +318,6 @@ AcceleratorReport builtin_evaluate(const DseCandidate& c,
 DseResult DseEngine::run(const DseSweep& sweep,
                          const std::vector<xl::dnn::ModelSpec>& models) {
   return run(sweep, models, builtin_evaluate);
-}
-
-DseMemo DseEngine::populate(const std::vector<DseCandidate>& slice,
-                            const std::vector<xl::dnn::ModelSpec>& models) {
-  return populate(slice, models, builtin_evaluate);
-}
-
-DseMemo DseEngine::populate(const std::vector<DseCandidate>& slice,
-                            const std::vector<xl::dnn::ModelSpec>& models,
-                            const DseCandidateEvaluator& evaluate) {
-  if (models.empty()) throw std::invalid_argument("populate: no models");
-  if (!evaluate) throw std::invalid_argument("populate: null evaluator");
-  DseMemo delta;
-  delta.entries = evaluate_missing(slice, models, evaluate, cache_, nullptr);
-  for (const DseMemoEntry& e : delta.entries) cache_.emplace(e.key, e.report);
-  std::sort(delta.entries.begin(), delta.entries.end(),
-            [](const DseMemoEntry& a, const DseMemoEntry& b) { return a.key < b.key; });
-  return delta;
-}
-
-DseMemo DseEngine::export_memo() const {
-  DseMemo memo;
-  memo.entries.reserve(cache_.size());
-  for (const auto& [key, report] : cache_) {
-    memo.entries.push_back(DseMemoEntry{key, report});
-  }
-  std::sort(memo.entries.begin(), memo.entries.end(),
-            [](const DseMemoEntry& a, const DseMemoEntry& b) { return a.key < b.key; });
-  return memo;
-}
-
-std::size_t DseEngine::import_memo(const DseMemo& memo) {
-  std::size_t inserted = 0;
-  for (const DseMemoEntry& e : memo.entries) {
-    const auto [it, fresh] = cache_.emplace(e.key, e.report);
-    if (fresh) {
-      ++inserted;
-    } else if (!reports_bit_identical(it->second, e.report)) {
-      throw std::runtime_error(
-          "DseEngine::import_memo: divergent reports for key '" + e.key +
-          "' — imported cache disagrees with the resident one");
-    }
-  }
-  return inserted;
 }
 
 DseResult DseEngine::run(const DseSweep& sweep,
@@ -426,14 +333,10 @@ DseResult DseEngine::run(const DseSweep& sweep,
 
   std::unordered_map<std::string, AcceleratorReport> local;  // cache-off store
   auto& store = options_.cache_enabled ? cache_ : local;
-  std::vector<DseMemoEntry> fresh =
-      evaluate_missing(admitted, models, evaluate, store, &result.stats);
+  evaluate_missing(admitted, models, evaluate, store, result.stats);
 
-  // Merge serially (deterministic), then assemble candidate points from the
-  // store in fixed grid/model order — bit-identical for any thread count.
-  for (DseMemoEntry& e : fresh) {
-    store.emplace(std::move(e.key), std::move(e.report));
-  }
+  // Assemble candidate points from the store in fixed grid/model order —
+  // bit-identical for any thread count.
   for (const DseCandidate& c : admitted) {
     DsePoint p;
     p.conv_unit_size = c.config.conv_unit_size;

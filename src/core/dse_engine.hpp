@@ -58,38 +58,6 @@ struct DseStats {
   }
 };
 
-/// One memoized evaluation: the engine's memo key and its report.
-struct DseMemoEntry {
-  std::string key;
-  AcceleratorReport report;
-};
-
-/// Bitwise equality of two reports: every double compared by object
-/// representation (not operator==, so a NaN can never mask divergence),
-/// strings and integers exactly. This is the agreement predicate of
-/// DseMemo::merge and DseEngine::import_memo — two engines evaluating the
-/// same deterministic candidate must produce the same bits.
-[[nodiscard]] bool reports_bit_identical(const AcceleratorReport& a,
-                                         const AcceleratorReport& b) noexcept;
-
-/// Portable snapshot of a DseEngine memo cache: entries sorted by key,
-/// unique. Memos exported from independent engines (each populated with a
-/// slice of one sweep) merge into a union cache; importing it makes a warm
-/// re-run of the whole sweep evaluator-free.
-struct DseMemo {
-  std::vector<DseMemoEntry> entries;  ///< Sorted ascending by key, unique.
-
-  /// Union-merge `other` into this memo. Disjoint keys accumulate;
-  /// overlapping keys must carry bit-identical reports or the merge throws
-  /// std::runtime_error naming the offending key — divergent reports for
-  /// one key mean two engines disagreed on a deterministic evaluation, which
-  /// is always a bug and must fail loudly, never silently pick a side.
-  void merge(const DseMemo& other);
-
-  [[nodiscard]] std::size_t size() const noexcept { return entries.size(); }
-  [[nodiscard]] bool empty() const noexcept { return entries.empty(); }
-};
-
 struct DseResult {
   /// Valid points ranked by dse_point_less (truncated to Options::top_k).
   std::vector<DsePoint> points;
@@ -145,39 +113,17 @@ class DseEngine {
   [[nodiscard]] static std::vector<DseCandidate> expand(const DseSweep& sweep);
 
   /// Expand + area-filter: exactly the admission run() applies, exposed so
-  /// callers slicing a sweep for populate() (and xlbench's DSE study)
-  /// agree with run() on candidate identity. Deterministic order (the
+  /// callers (xlbench's DSE study) agree with run() on candidate identity. Deterministic order (the
   /// expand() order, filtered). Throws std::invalid_argument on invalid
   /// sweeps or when the budget rejects every candidate (naming the budget).
   /// When non-null, `area_filtered` receives the rejected count.
   [[nodiscard]] static std::vector<DseCandidate> admit(
       const DseSweep& sweep, std::size_t* area_filtered = nullptr);
 
-  /// Memo key of one (candidate, model) evaluation — the identity the
-  /// cache, export/import, and DseMemo::merge all agree on.
+  /// Memo key of one (candidate, model) evaluation: the identity the cache
+  /// agrees on.
   [[nodiscard]] static std::string memo_key(const DseCandidate& candidate,
                                             const xl::dnn::ModelSpec& model);
-
-  /// Evaluate every (candidate, model) pair of `slice` missing from the
-  /// memo, insert the fresh reports, and return just those fresh entries
-  /// (sorted by key) — the compact delta another engine can import or
-  /// merge. Evaluator calls paid == returned entry count; a warm
-  /// slice returns an empty memo. Always uses the persistent memo,
-  /// regardless of Options::cache_enabled (the memo *is* the product here).
-  [[nodiscard]] DseMemo populate(const std::vector<DseCandidate>& slice,
-                                 const std::vector<xl::dnn::ModelSpec>& models);
-  [[nodiscard]] DseMemo populate(const std::vector<DseCandidate>& slice,
-                                 const std::vector<xl::dnn::ModelSpec>& models,
-                                 const DseCandidateEvaluator& evaluate);
-
-  /// Snapshot the memo cache, sorted by key.
-  [[nodiscard]] DseMemo export_memo() const;
-
-  /// Insert `memo`'s entries into the cache. Keys already present must
-  /// agree bit-exactly with the incoming report (reports_bit_identical) or
-  /// this throws std::runtime_error naming the key. Returns the number of
-  /// newly inserted entries.
-  std::size_t import_memo(const DseMemo& memo);
 
   [[nodiscard]] const Options& options() const noexcept { return options_; }
   /// Replace the run options; the memo cache is kept.
@@ -187,16 +133,14 @@ class DseEngine {
 
  private:
   /// Evaluate every (candidate, model) pair missing from `store` (parallel
-  /// per options_, pre-sized slots), returning the fresh (key, report)
-  /// pairs in deterministic job order. `stats`, when non-null, accrues
-  /// evaluations/cache_hits. Entries are NOT inserted into `store` here —
-  /// the caller merges serially so completion order never matters.
-  [[nodiscard]] std::vector<DseMemoEntry> evaluate_missing(
-      const std::vector<DseCandidate>& candidates,
-      const std::vector<xl::dnn::ModelSpec>& models,
-      const DseCandidateEvaluator& evaluate,
-      const std::unordered_map<std::string, AcceleratorReport>& store,
-      DseStats* stats) const;
+  /// per options_, pre-sized slots) and insert the fresh reports into
+  /// `store` serially afterwards, so completion order never matters.
+  /// `stats` accrues evaluations/cache_hits.
+  void evaluate_missing(const std::vector<DseCandidate>& candidates,
+                        const std::vector<xl::dnn::ModelSpec>& models,
+                        const DseCandidateEvaluator& evaluate,
+                        std::unordered_map<std::string, AcceleratorReport>& store,
+                        DseStats& stats) const;
 
   Options options_;
   /// Memo of evaluator reports. Keyed on the candidate's architecture tuple,

@@ -192,7 +192,6 @@ EffectPipeline::EffectPipeline(const VdpSimOptions& opts)
     throw std::invalid_argument("EffectPipeline: empty bank");
   }
   frame_.ring_drift_nm.resize(opts.mrs_per_bank, 0.0);
-  crosstalk_base_ = opts.model_crosstalk && config_.crosstalk;
 
   if (config_.thermal) {
     auto stage = std::make_unique<ThermalEffectStage>(
@@ -237,7 +236,7 @@ void EffectPipeline::render_stage(std::size_t idx) {
 void EffectPipeline::combine() {
   std::fill(frame_.ring_drift_nm.begin(), frame_.ring_drift_nm.end(), 0.0);
   frame_.noise_std = 0.0;
-  frame_.crosstalk = crosstalk_base_;
+  frame_.crosstalk = config_.crosstalk;
   for (const EffectFrame& sf : stage_frames_) {
     for (std::size_t i = 0; i < frame_.ring_drift_nm.size(); ++i) {
       frame_.ring_drift_nm[i] += sf.ring_drift_nm[i];

@@ -145,7 +145,6 @@ class EffectPipeline {
   std::vector<unsigned char> stage_dirty_since_reset_;
   bool advanced_since_reset_ = false;
   EffectStage* thermal_ = nullptr;  ///< Borrowed from stages_ (telemetry).
-  bool crosstalk_base_ = true;      ///< model_crosstalk AND crosstalk stage.
   bool time_dependent_ = false;
   double time_us_ = 0.0;
 };

@@ -65,9 +65,8 @@ struct NoiseEffectConfig {
 };
 
 /// Master switchboard. All stages off (the default) is bit-identical to the
-/// pre-pipeline datapath; `crosstalk` mirrors the legacy
-/// VdpSimOptions::model_crosstalk knob as a pipeline stage (both must be on
-/// for Eq. 8 crosstalk to run).
+/// pre-pipeline datapath; `crosstalk` switches Eq. 8 inter-channel
+/// crosstalk, the one stage on by default.
 struct EffectConfig {
   bool thermal = false;
   bool fpv = false;

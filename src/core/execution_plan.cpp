@@ -104,16 +104,8 @@ ExecutionPlan::ExecutionPlan(PhotonicInferenceEngine& engine,
       case LayerKind::kPool:
       case LayerKind::kActivation:
       case LayerKind::kOther: {
-        if (layer.inference_identity()) {
-          step.kind = StepKind::kView;
-          ++stats_.planned_layers;
-        } else if (layer.supports_eval_into()) {
-          step.kind = StepKind::kEval;
-          ++stats_.planned_layers;
-        } else {
-          step.kind = StepKind::kFallback;
-          ++stats_.fallback_layers;
-        }
+        step.kind = layer.inference_identity() ? StepKind::kView : StepKind::kEval;
+        ++stats_.planned_layers;
         break;
       }
     }
@@ -221,27 +213,20 @@ const Shape& ExecutionPlan::shape_before(std::size_t layer) const {
   return layer == end_layer() ? output_sample_shape_ : steps_[layer - first_layer_].in_shape;
 }
 
-dnn::Tensor ExecutionPlan::input_tensor(const Step& step, std::size_t rows,
-                                        const float* in) {
+void ExecutionPlan::run_eval(const Step& step, std::size_t rows, const float* in,
+                             float* out) {
   shape_tmp_.assign(step.in_shape.begin(), step.in_shape.end());
   shape_tmp_[0] = rows;
-  dnn::Tensor x(shape_tmp_);
-  std::memcpy(x.data(), in, rows * step.in_numel * sizeof(float));
-  return x;
-}
-
-void ExecutionPlan::run_fallback(const Step& step, std::size_t rows,
-                                 const float* in, float* out) {
-  const dnn::Tensor o = step.layer->forward(input_tensor(step, rows, in), false);
-  std::memcpy(out, o.data(), rows * step.out_numel * sizeof(float));
+  step.layer->eval_into(shape_tmp_, {in, rows * step.in_numel},
+                        {out, rows * step.out_numel});
 }
 
 void ExecutionPlan::reference_pass(const Step& step, std::size_t rows,
                                    const float* in, const float* out) {
-  const dnn::Tensor reference =
-      step.layer->forward(input_tensor(step, rows, in), false);
+  std::vector<float> reference(rows * step.out_numel);
+  run_eval(step, rows, in, reference.data());
   double& worst = engine_.stats_.max_abs_layer_error;
-  for (std::size_t j = 0; j < reference.numel(); ++j) {
+  for (std::size_t j = 0; j < reference.size(); ++j) {
     worst = std::max(worst, static_cast<double>(std::abs(out[j] - reference[j])));
   }
 }
@@ -301,16 +286,8 @@ void ExecutionPlan::execute(std::span<const RowViewIn> inputs,
         // Pure shape change (flatten) or inference identity (dropout):
         // bytes stay where they are.
         break;
-      case StepKind::kEval: {
-        shape_tmp_.assign(step.in_shape.begin(), step.in_shape.end());
-        shape_tmp_[0] = total;
-        step.layer->eval_into(shape_tmp_, {cur, total * step.in_numel},
-                              {next, total * step.out_numel});
-        std::swap(cur, next);
-        break;
-      }
-      case StepKind::kFallback:
-        run_fallback(step, total, cur, next);
+      case StepKind::kEval:
+        run_eval(step, total, cur, next);
         std::swap(cur, next);
         break;
     }

@@ -11,9 +11,8 @@
 //     map (dnn::plan_im2col) applied per sample with no index arithmetic
 //     rediscovery;
 //   * every electronic layer resolves its dispatch at compile time: identity
-//     layers (dropout, flatten) vanish, eval_into-capable layers write
-//     straight into the ping-pong activation buffers, anything else falls
-//     back to Layer::forward (counted in PlanStats::fallback_layers);
+//     layers (dropout, flatten) vanish, every other one runs its
+//     Layer::eval_into straight into the ping-pong activation buffers;
 //   * all intermediate storage — activations, patches, GEMM outputs, the
 //     engine's per-call scratch and each GEMM step's persistent
 //     arm-transmission table cache (GemmTableCache, revalidated by effect
@@ -26,7 +25,7 @@
 // to the paired RowViewOut views. After the first (warm-up) execution the
 // steady state performs zero heap allocations — unless the engine's opt-in
 // per-layer reference pass (track_layer_error) is on, which runs each GEMM
-// layer's float forward() beside the photonic step.
+// layer's float eval_into() beside the photonic step.
 //
 // Determinism contract: logits are a pure function of (inputs, weights,
 // effect timeline) — independent of batch composition, the range split, the
@@ -50,10 +49,9 @@ namespace xl::core {
 
 /// Compile-time and run-time telemetry of one plan.
 struct PlanStats {
-  std::size_t executions = 0;       ///< execute() calls served.
-  std::size_t planned_layers = 0;   ///< Layers compiled to allocation-free steps.
-  std::size_t fallback_layers = 0;  ///< Layers still routed through forward().
-  std::size_t max_batch = 0;        ///< Row capacity this plan was compiled for.
+  std::size_t executions = 0;      ///< execute() calls served.
+  std::size_t planned_layers = 0;  ///< Layers compiled to allocation-free steps.
+  std::size_t max_batch = 0;       ///< Row capacity this plan was compiled for.
 };
 
 class ExecutionPlan {
@@ -116,12 +114,11 @@ class ExecutionPlan {
     kDenseGemm,  ///< Photonic FC GEMM + bias.
     kConvGemm,   ///< Gather -> photonic patch GEMM -> scatter + bias.
     kView,       ///< inference_identity(): shape-only, no byte moves.
-    kEval,       ///< supports_eval_into(): in-place-capable electronic layer.
-    kFallback,   ///< Generic Layer::forward (allocates; counted).
+    kEval,       ///< Any other electronic layer: Layer::eval_into.
   };
 
   struct Step {
-    StepKind kind = StepKind::kFallback;
+    StepKind kind = StepKind::kEval;
     dnn::Layer* layer = nullptr;
     dnn::Shape in_shape;   ///< Batch-1 basis shape entering the layer.
     dnn::Shape out_shape;  ///< Batch-1 basis shape leaving the layer.
@@ -141,12 +138,9 @@ class ExecutionPlan {
   // table cache in place.
   void run_dense(Step& step, std::size_t rows, const float* in, float* out);
   void run_conv(Step& step, std::size_t rows, const float* in, float* out);
-  void run_fallback(const Step& step, std::size_t rows, const float* in, float* out);
-  /// Copy `rows` samples entering `step` into a Tensor (allocates).
-  [[nodiscard]] dnn::Tensor input_tensor(const Step& step, std::size_t rows,
-                                         const float* in);
-  /// track_layer_error: the layer's float forward() on the GEMM step's
-  /// input, folded into the engine's max_abs_layer_error.
+  void run_eval(const Step& step, std::size_t rows, const float* in, float* out);
+  /// track_layer_error: the layer's float eval_into() on the GEMM step's
+  /// input (allocates), folded into the engine's max_abs_layer_error.
   void reference_pass(const Step& step, std::size_t rows, const float* in,
                       const float* out);
 

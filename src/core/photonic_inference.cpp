@@ -104,17 +104,6 @@ Tensor PhotonicInferenceEngine::infer_batch(const Tensor& batch) {
   return infer_range(batch, 0, network_.layer_count());
 }
 
-std::size_t PhotonicInferenceEngine::accelerated_layers_before(
-    std::size_t end_layer) const {
-  const std::size_t end = std::min(end_layer, network_.layer_count());
-  std::size_t count = 0;
-  for (std::size_t i = 0; i < end; ++i) {
-    const LayerKind kind = network_.layer(i).kind_id();
-    if (kind == LayerKind::kDense || kind == LayerKind::kConv) ++count;
-  }
-  return count;
-}
-
 Tensor PhotonicInferenceEngine::infer_range(const Tensor& batch,
                                             std::size_t begin_layer,
                                             std::size_t end_layer) {

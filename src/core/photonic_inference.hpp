@@ -91,7 +91,7 @@ struct PhotonicInferenceStats {
 class PhotonicInferenceEngine {
  public:
   /// `network` must outlive the engine. Layers outside the accelerated set
-  /// (kConv/kDense) run electronically via their own forward().
+  /// (kConv/kDense) run electronically via their own eval_into().
   PhotonicInferenceEngine(dnn::Network& network, const VdpSimOptions& options = {});
   ~PhotonicInferenceEngine();
 
@@ -141,19 +141,13 @@ class PhotonicInferenceEngine {
                                         std::size_t begin_layer,
                                         std::size_t end_layer);
 
-  /// Number of accelerated (kConv/kDense) layers in [0, end_layer) — the
-  /// count of thermal dt steps a range execution advances. Used by
-  /// model-parallel peers to fast-forward their effect timeline to the
-  /// partition boundary.
-  [[nodiscard]] std::size_t accelerated_layers_before(std::size_t end_layer) const;
-
   /// Classification accuracy over a dataset subset [0, count), evaluated in
   /// batches of eval_batch_size().
   [[nodiscard]] double evaluate_accuracy(const dnn::Dataset& data, std::size_t count);
 
   /// Enable/disable the exact per-layer software reference pass feeding
   /// stats().max_abs_layer_error: each GEMM step of the plan also runs the
-  /// layer's float forward() on the same input (allocating; off by default).
+  /// layer's float eval_into() on the same input (allocating; off by default).
   void set_track_layer_error(bool enabled) noexcept { track_layer_error_ = enabled; }
   [[nodiscard]] bool track_layer_error() const noexcept { return track_layer_error_; }
 

@@ -37,25 +37,13 @@ struct VdpSimOptions {
   double q_factor = 8000.0;
   double fsr_nm = 18.0;
   double center_wavelength_nm = 1550.0;
-  bool model_crosstalk = true;  ///< Inject Eq. 8 inter-channel noise (legacy
-                                ///< alias of effects.crosstalk; both must be
-                                ///< on for the crosstalk stage to run).
-  EffectConfig effects;         ///< Composable non-ideality stages.
+  EffectConfig effects;  ///< Composable non-ideality stages.
 
   /// Rejects non-physical datapath parameters (empty bank, resolution
   /// outside [1, 16], q_factor <= 1, non-positive fsr/center wavelength) and
   /// invalid effect-stage settings. Called from every engine constructor,
   /// mirroring BaselineParams::validate(). Throws std::invalid_argument.
   void validate() const;
-
-  /// The effect set as the pipeline actually runs it: the crosstalk stage is
-  /// gated on BOTH the legacy model_crosstalk knob and effects.crosstalk.
-  /// Use this (not `effects`) when reporting which datapath was measured.
-  [[nodiscard]] EffectConfig effective_effects() const {
-    EffectConfig out = effects;
-    out.crosstalk = out.crosstalk && model_crosstalk;
-    return out;
-  }
 };
 
 /// Signal-level simulator for dot products on one VDP unit.

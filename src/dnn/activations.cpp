@@ -1,5 +1,6 @@
 #include "dnn/activations.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
@@ -9,16 +10,8 @@ namespace xl::dnn {
 Tensor ReLU::forward(const Tensor& input, bool training) {
   // The input copy exists only for backward(); inference skips it (and
   // clears any stale cache so a later backward() fails loudly).
-  if (training) {
-    cached_input_ = input;
-  } else {
-    cached_input_ = Tensor();
-  }
-  Tensor out = input;
-  for (std::size_t i = 0; i < out.numel(); ++i) {
-    if (out[i] < 0.0F) out[i] = 0.0F;
-  }
-  return out;
+  cached_input_ = training ? input : Tensor();
+  return eval(input);
 }
 
 void ReLU::eval_into(const Shape& /*input_shape*/, std::span<const float> input,
@@ -39,15 +32,8 @@ Tensor ReLU::backward(const Tensor& grad_output) {
 }
 
 Tensor Sigmoid::forward(const Tensor& input, bool training) {
-  Tensor out = input;
-  for (std::size_t i = 0; i < out.numel(); ++i) {
-    out[i] = 1.0F / (1.0F + std::exp(-out[i]));
-  }
-  if (training) {
-    cached_output_ = out;
-  } else {
-    cached_output_ = Tensor();
-  }
+  Tensor out = eval(input);
+  cached_output_ = training ? out : Tensor();
   return out;
 }
 
@@ -69,13 +55,8 @@ Tensor Sigmoid::backward(const Tensor& grad_output) {
 }
 
 Tensor Tanh::forward(const Tensor& input, bool training) {
-  Tensor out = input;
-  for (std::size_t i = 0; i < out.numel(); ++i) out[i] = std::tanh(out[i]);
-  if (training) {
-    cached_output_ = out;
-  } else {
-    cached_output_ = Tensor();
-  }
+  Tensor out = eval(input);
+  cached_output_ = training ? out : Tensor();
   return out;
 }
 
@@ -105,7 +86,7 @@ Tensor Dropout::forward(const Tensor& input, bool training) {
     // Pure identity at inference: no mask allocation, no scaling. A stale
     // training mask is dropped so backward() after an inference pass throws.
     mask_.clear();
-    return input;
+    return eval(input);
   }
   if (rate_ == 0.0) {
     mask_.assign(input.numel(), 1.0F);
@@ -120,6 +101,11 @@ Tensor Dropout::forward(const Tensor& input, bool training) {
     out[i] *= mask_[i];
   }
   return out;
+}
+
+void Dropout::eval_into(const Shape& /*input_shape*/, std::span<const float> input,
+                        std::span<float> output) {
+  std::copy(input.begin(), input.end(), output.begin());
 }
 
 Tensor Dropout::backward(const Tensor& grad_output) {

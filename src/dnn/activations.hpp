@@ -18,7 +18,6 @@ class ReLU : public Layer {
     return input_shape;
   }
   [[nodiscard]] bool is_activation() const override { return true; }
-  [[nodiscard]] bool supports_eval_into() const noexcept override { return true; }
   void eval_into(const Shape& input_shape, std::span<const float> input,
                  std::span<float> output) override;
 
@@ -36,7 +35,6 @@ class Sigmoid : public Layer {
     return input_shape;
   }
   [[nodiscard]] bool is_activation() const override { return true; }
-  [[nodiscard]] bool supports_eval_into() const noexcept override { return true; }
   void eval_into(const Shape& input_shape, std::span<const float> input,
                  std::span<float> output) override;
 
@@ -54,7 +52,6 @@ class Tanh : public Layer {
     return input_shape;
   }
   [[nodiscard]] bool is_activation() const override { return true; }
-  [[nodiscard]] bool supports_eval_into() const noexcept override { return true; }
   void eval_into(const Shape& input_shape, std::span<const float> input,
                  std::span<float> output) override;
 
@@ -77,6 +74,8 @@ class Dropout : public Layer {
   }
   /// Identity at inference (inverted dropout scales at train time only).
   [[nodiscard]] bool inference_identity() const noexcept override { return true; }
+  void eval_into(const Shape& input_shape, std::span<const float> input,
+                 std::span<float> output) override;
 
  private:
   double rate_;

@@ -1,8 +1,6 @@
 #include "dnn/conv2d.hpp"
 
 #include <cmath>
-
-#include "dnn/im2col.hpp"
 #include <sstream>
 #include <stdexcept>
 
@@ -26,32 +24,21 @@ Conv2d::Conv2d(const Conv2dConfig& config, xl::numerics::Rng& rng)
   }
 }
 
-std::size_t Conv2d::out_extent(std::size_t in_extent) const {
-  const std::size_t padded = in_extent + 2 * config_.padding;
-  if (padded < config_.kernel) {
-    throw std::invalid_argument("Conv2d: input smaller than kernel");
-  }
-  return (padded - config_.kernel) / config_.stride + 1;
-}
-
 Shape Conv2d::output_shape(const Shape& input_shape) const {
-  if (input_shape.size() != 4 || input_shape[1] != config_.in_channels) {
-    throw std::invalid_argument("Conv2d::output_shape: incompatible input shape");
-  }
-  return {input_shape[0], config_.out_channels, out_extent(input_shape[2]),
-          out_extent(input_shape[3])};
+  const Im2colShape s = im2col_shape(input_shape, config_);
+  return {s.batch, config_.out_channels, s.h_out, s.w_out};
 }
 
 Tensor Conv2d::forward(const Tensor& input, bool training) {
-  const Shape out_shape = output_shape(input.shape());
+  Tensor out = eval(input);
   // The input copy exists only for backward(); inference skips it (and
   // clears any stale cache so a later backward() fails loudly).
-  if (training) {
-    cached_input_ = input;
-  } else {
-    cached_input_ = Tensor();
-  }
+  cached_input_ = training ? input : Tensor();
+  return out;
+}
 
+void Conv2d::eval_into(const Shape& input_shape, std::span<const float> input,
+                       std::span<float> output) {
   const bool qat = quant_ != nullptr && quant_->weights_enabled();
   const Tensor* w = &w_;
   if (qat) {
@@ -60,31 +47,30 @@ Tensor Conv2d::forward(const Tensor& input, bool training) {
     w = &effective_w_;
   }
 
-  // im2col lowering shared with the batched photonic engine: output pixel
-  // (n, co, oy, ox) = patches(row(n, oy, ox)) . filter(co) + bias. Padding
-  // taps contribute exact zeros, so this matches direct convolution
-  // bit-for-bit.
-  const Tensor patches = im2col(input, config_);
-  const std::size_t rows = patches.dim(0);
-  const std::size_t patch_len = patches.dim(1);
+  const std::array<std::size_t, 3> dims = {input_shape[1], input_shape[2],
+                                           input_shape[3]};
+  if (dims != gather_dims_) {
+    gather_ = plan_im2col(input_shape, config_);
+    patches_.resize(gather_.src.size());
+    gather_dims_ = dims;
+  }
+  const std::size_t pixels = gather_.shape.rows;  // h_out * w_out per sample.
+  const std::size_t patch_len = gather_.shape.cols;
   const std::size_t c_out = config_.out_channels;
-  const std::size_t pixels_per_sample = out_shape[2] * out_shape[3];
-
-  Tensor out(out_shape);
-  float* out_ptr = out.data();
-  for (std::size_t r = 0; r < rows; ++r) {
-    const float* patch = patches.data() + r * patch_len;
-    const std::size_t n = r / pixels_per_sample;
-    const std::size_t pixel = r % pixels_per_sample;
-    for (std::size_t co = 0; co < c_out; ++co) {
-      const float* filter = w->data() + co * patch_len;
-      float acc = b_[co];
-      for (std::size_t i = 0; i < patch_len; ++i) acc += filter[i] * patch[i];
-      // NCHW: (n, co, oy, ox) with (oy, ox) linearized as `pixel`.
-      out_ptr[(n * c_out + co) * pixels_per_sample + pixel] = acc;
+  for (std::size_t n = 0; n < input_shape[0]; ++n) {
+    im2col_gather(gather_, input.data() + n * gather_.sample_numel, patches_.data());
+    float* out_n = output.data() + n * c_out * pixels;
+    for (std::size_t pixel = 0; pixel < pixels; ++pixel) {
+      const float* patch = patches_.data() + pixel * patch_len;
+      for (std::size_t co = 0; co < c_out; ++co) {
+        const float* filter = w->data() + co * patch_len;
+        float acc = b_[co];
+        for (std::size_t i = 0; i < patch_len; ++i) acc += filter[i] * patch[i];
+        // NCHW: (n, co, oy, ox) with (oy, ox) linearized as `pixel`.
+        out_n[co * pixels + pixel] = acc;
+      }
     }
   }
-  return out;
 }
 
 Tensor Conv2d::backward(const Tensor& grad_output) {

@@ -4,18 +4,14 @@
 // (Section IV-C.1, Eqs. 1-4).
 #pragma once
 
+#include <array>
+#include <vector>
+
+#include "dnn/im2col.hpp"
 #include "dnn/layer.hpp"
 #include "numerics/rng.hpp"
 
 namespace xl::dnn {
-
-struct Conv2dConfig {
-  std::size_t in_channels = 1;
-  std::size_t out_channels = 1;
-  std::size_t kernel = 3;
-  std::size_t stride = 1;
-  std::size_t padding = 0;
-};
 
 class Conv2d : public Layer {
  public:
@@ -28,20 +24,28 @@ class Conv2d : public Layer {
   [[nodiscard]] LayerKind kind_id() const noexcept override { return LayerKind::kConv; }
   [[nodiscard]] std::string describe() const override;
   [[nodiscard]] Shape output_shape(const Shape& input_shape) const override;
+  /// Lowers through plan_im2col + im2col_gather, the plan's own lowering:
+  /// output (n, co, oy, ox) = bias[co] + sum_i filter(co)[i] * patch[i],
+  /// summed in patch order (padding taps add filter * 0.0f).
+  void eval_into(const Shape& input_shape, std::span<const float> input,
+                 std::span<float> output) override;
 
   [[nodiscard]] const Conv2dConfig& config() const noexcept { return config_; }
   Tensor& weights() noexcept { return w_; }
   Tensor& bias() noexcept { return b_; }
 
  private:
-  [[nodiscard]] std::size_t out_extent(std::size_t in_extent) const;
-
   Conv2dConfig config_;
   Tensor w_;   ///< (C_out, C_in, k, k)
   Tensor b_;   ///< (C_out)
   Tensor dw_, db_;
   Tensor cached_input_;
   Tensor effective_w_;
+  // eval_into's lowering, cached for the last sample shape so a warm call
+  // does not allocate.
+  std::array<std::size_t, 3> gather_dims_{};  ///< (C, H, W) gather_ was built for.
+  Im2colPlan gather_;
+  std::vector<float> patches_;  ///< One sample's patch matrix.
 };
 
 }  // namespace xl::dnn

@@ -23,18 +23,15 @@ Dense::Dense(std::size_t in_features, std::size_t out_features, xl::numerics::Rn
 }
 
 Tensor Dense::forward(const Tensor& input, bool training) {
-  if (input.rank() != 2 || input.dim(1) != in_) {
-    throw std::invalid_argument("Dense::forward: expected (N, " + std::to_string(in_) +
-                                "), got " + shape_to_string(input.shape()));
-  }
+  Tensor out = eval(input);
   // The input copy exists only for backward(); inference skips it (and
   // clears any stale cache so a later backward() fails loudly).
-  if (training) {
-    cached_input_ = input;
-  } else {
-    cached_input_ = Tensor();
-  }
+  cached_input_ = training ? input : Tensor();
+  return out;
+}
 
+void Dense::eval_into(const Shape& input_shape, std::span<const float> input,
+                      std::span<float> output) {
   const bool qat = quant_ != nullptr && quant_->weights_enabled();
   const Tensor* w = &w_;
   if (qat) {
@@ -43,18 +40,16 @@ Tensor Dense::forward(const Tensor& input, bool training) {
     w = &effective_w_;
   }
 
-  const std::size_t batch = input.dim(0);
-  Tensor out({batch, out_});
+  const std::size_t batch = input_shape[0];
   for (std::size_t n = 0; n < batch; ++n) {
     const float* x = input.data() + n * in_;
     for (std::size_t o = 0; o < out_; ++o) {
       const float* wr = w->data() + o * in_;
       float acc = b_[o];
       for (std::size_t i = 0; i < in_; ++i) acc += wr[i] * x[i];
-      out.at2(n, o) = acc;
+      output[n * out_ + o] = acc;
     }
   }
-  return out;
 }
 
 Tensor Dense::backward(const Tensor& grad_output) {
@@ -101,7 +96,8 @@ std::string Dense::describe() const {
 
 Shape Dense::output_shape(const Shape& input_shape) const {
   if (input_shape.size() != 2 || input_shape[1] != in_) {
-    throw std::invalid_argument("Dense::output_shape: incompatible input shape");
+    throw std::invalid_argument("Dense: expected (N, " + std::to_string(in_) + "), got " +
+                                shape_to_string(input_shape));
   }
   return {input_shape[0], out_};
 }

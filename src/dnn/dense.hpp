@@ -1,8 +1,6 @@
 // Fully connected (dense) layer: y = x W^T + b, x is (N, in), W is (out, in).
 #pragma once
 
-#include <cstdint>
-
 #include "dnn/layer.hpp"
 #include "numerics/rng.hpp"
 
@@ -20,6 +18,8 @@ class Dense : public Layer {
   [[nodiscard]] LayerKind kind_id() const noexcept override { return LayerKind::kDense; }
   [[nodiscard]] std::string describe() const override;
   [[nodiscard]] Shape output_shape(const Shape& input_shape) const override;
+  void eval_into(const Shape& input_shape, std::span<const float> input,
+                 std::span<float> output) override;
 
   [[nodiscard]] std::size_t in_features() const noexcept { return in_; }
   [[nodiscard]] std::size_t out_features() const noexcept { return out_; }

@@ -25,38 +25,6 @@ Im2colShape im2col_shape(const Shape& input_shape, const Conv2dConfig& cfg) {
   return s;
 }
 
-Tensor im2col(const Tensor& input, const Conv2dConfig& cfg) {
-  const Im2colShape s = im2col_shape(input.shape(), cfg);
-  const std::size_t h_in = input.dim(2);
-  const std::size_t w_in = input.dim(3);
-  const auto pad = static_cast<std::ptrdiff_t>(cfg.padding);
-
-  Tensor patches({s.rows, s.cols});
-  float* out = patches.data();
-  for (std::size_t n = 0; n < s.batch; ++n) {
-    for (std::size_t oy = 0; oy < s.h_out; ++oy) {
-      const std::ptrdiff_t iy0 = static_cast<std::ptrdiff_t>(oy * cfg.stride) - pad;
-      for (std::size_t ox = 0; ox < s.w_out; ++ox) {
-        const std::ptrdiff_t ix0 = static_cast<std::ptrdiff_t>(ox * cfg.stride) - pad;
-        for (std::size_t ci = 0; ci < cfg.in_channels; ++ci) {
-          for (std::size_t ky = 0; ky < cfg.kernel; ++ky) {
-            const std::ptrdiff_t iy = iy0 + static_cast<std::ptrdiff_t>(ky);
-            const bool row_ok = iy >= 0 && iy < static_cast<std::ptrdiff_t>(h_in);
-            for (std::size_t kx = 0; kx < cfg.kernel; ++kx, ++out) {
-              const std::ptrdiff_t ix = ix0 + static_cast<std::ptrdiff_t>(kx);
-              const bool ok = row_ok && ix >= 0 && ix < static_cast<std::ptrdiff_t>(w_in);
-              *out = ok ? input.at4(n, ci, static_cast<std::size_t>(iy),
-                                    static_cast<std::size_t>(ix))
-                        : 0.0F;
-            }
-          }
-        }
-      }
-    }
-  }
-  return patches;
-}
-
 Im2colPlan plan_im2col(const Shape& sample_shape, const Conv2dConfig& cfg) {
   if (sample_shape.size() != 4) {
     throw std::invalid_argument("plan_im2col: rank-4 sample shape required");
@@ -73,8 +41,7 @@ Im2colPlan plan_im2col(const Shape& sample_shape, const Conv2dConfig& cfg) {
   const std::size_t w_in = sample_shape[3];
   const auto pad = static_cast<std::ptrdiff_t>(cfg.padding);
 
-  // Mirrors im2col()'s loop order exactly (n fixed at 0): rows (oy, ox),
-  // columns (ci, ky, kx).
+  // Rows (oy, ox), columns (ci, ky, kx).
   plan.src.resize(plan.shape.rows * plan.shape.cols);
   std::int32_t* out = plan.src.data();
   for (std::size_t oy = 0; oy < plan.shape.h_out; ++oy) {

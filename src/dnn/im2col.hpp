@@ -1,4 +1,4 @@
-// im2col lowering shared by Conv2d::forward and the batched photonic engine.
+// im2col lowering shared by Conv2d and the batched photonic engine.
 //
 // A convolution over an NCHW input is a GEMM over patches: output pixel
 // (n, oy, ox) is the dot product of patch row (n, oy, ox) with filter row
@@ -12,9 +12,18 @@
 #include <cstdint>
 #include <vector>
 
-#include "dnn/conv2d.hpp"
+#include "dnn/tensor.hpp"
 
 namespace xl::dnn {
+
+/// Conv2d geometry: square kernels, stride and symmetric zero padding.
+struct Conv2dConfig {
+  std::size_t in_channels = 1;
+  std::size_t out_channels = 1;
+  std::size_t kernel = 3;
+  std::size_t stride = 1;
+  std::size_t padding = 0;
+};
 
 /// Shape accounting for an im2col lowering.
 struct Im2colShape {
@@ -31,10 +40,6 @@ struct Im2colShape {
 [[nodiscard]] Im2colShape im2col_shape(const Shape& input_shape,
                                        const Conv2dConfig& cfg);
 
-/// Lower an NCHW input tensor to its (rows x cols) patch matrix (rank-2
-/// Tensor). Out-of-bounds taps (zero padding) contribute exact zeros.
-[[nodiscard]] Tensor im2col(const Tensor& input, const Conv2dConfig& cfg);
-
 /// Precomputed gather map for im2col over a single sample (batch = 1 basis).
 ///
 /// `src[i]` holds the flat (C, H, W) sample index feeding patch element `i`,
@@ -42,7 +47,7 @@ struct Im2colShape {
 /// outermost and every sample is laid out identically, the one-sample map
 /// covers any batch: sample n's patch block is the same gather applied to
 /// `input + n * sample_numel`. Compiled once per (shape, config) by
-/// core::ExecutionPlan so the serving hot path never re-derives tap indices.
+/// core::ExecutionPlan and by Conv2d, so no forward re-derives tap indices.
 struct Im2colPlan {
   Im2colShape shape;         ///< Basis shape with batch == 1.
   std::size_t sample_numel = 0;  ///< C * H * W of one input sample.
@@ -56,9 +61,8 @@ struct Im2colPlan {
                                      const Conv2dConfig& cfg);
 
 /// Apply the gather for ONE sample: fills `out` (rows * cols floats for the
-/// batch-1 basis) from `sample` (sample_numel floats). Never allocates;
-/// bit-identical to the corresponding block of im2col() because padding taps
-/// write the same exact 0.0f and real taps copy the same float.
+/// batch-1 basis) from `sample` (sample_numel floats). Never allocates.
+/// Padding taps write an exact 0.0f; real taps copy the input float.
 void im2col_gather(const Im2colPlan& plan, const float* sample,
                    float* out) noexcept;
 

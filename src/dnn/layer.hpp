@@ -1,14 +1,17 @@
 // Abstract layer interface for the sequential DNN container.
 //
-// Classic cached-input backprop: forward() stores whatever backward() needs;
-// backward() receives dL/d(output), returns dL/d(input), and accumulates
-// parameter gradients into the grad tensors exposed via parameters().
+// Each layer's inference arithmetic lives in one place, eval_into(), which
+// writes into a caller-provided buffer. forward(x, false) reaches it through
+// eval() (size the output Tensor, call eval_into); a training forward runs
+// the same arithmetic and adds only what backward() needs (cached input,
+// argmax map, dropout mask). backward() receives dL/d(output), returns
+// dL/d(input), and accumulates parameter gradients into the grad tensors
+// exposed via parameters().
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -28,9 +31,13 @@ class Layer {
  public:
   virtual ~Layer() = default;
 
-  /// Compute the layer output; `training` enables dropout masks, range
-  /// tracking, and other train-only behaviour.
-  virtual Tensor forward(const Tensor& input, bool training) = 0;
+  /// Compute the layer output; `training` enables dropout masks and the
+  /// caches backward() reads. The default suits layers with no training
+  /// state: both modes are eval().
+  virtual Tensor forward(const Tensor& input, bool training) {
+    (void)training;
+    return eval(input);
+  }
 
   /// Backpropagate; must be called after forward() on the same input.
   virtual Tensor backward(const Tensor& grad_output) = 0;
@@ -72,33 +79,34 @@ class Layer {
   //
   // A compiled execution plan classifies each layer once and then runs the
   // steady state without Tensor construction: identity layers become shape-
-  // only views, eval_into layers compute straight into plan-owned arena
-  // buffers, and everything else falls back to the allocating forward().
+  // only views and every other electronic layer computes through eval_into()
+  // straight into plan-owned arena buffers.
 
   /// True when forward(input, false) returns the input data unchanged (only
   /// the shape may differ, e.g. Flatten, inference-mode Dropout). A plan
   /// turns such layers into zero-copy views.
   [[nodiscard]] virtual bool inference_identity() const noexcept { return false; }
 
-  /// True when eval_into() is implemented.
-  [[nodiscard]] virtual bool supports_eval_into() const noexcept { return false; }
-
-  /// Inference-mode forward into a caller-provided buffer. Contract:
-  ///   * `output` receives exactly the data forward(input, false) would
-  ///     return, bit for bit (output size = numel of output_shape(in_shape));
-  ///   * no heap allocation and no training-state mutation (backward-facing
-  ///     caches are untouched — backward() after eval_into() is invalid);
+  /// The layer's inference arithmetic, into a caller-provided buffer.
+  /// Contract:
+  ///   * `output` receives the whole result (size = numel of
+  ///     output_shape(input_shape)); forward(input, false) returns exactly
+  ///     this data because it is computed here;
+  ///   * no heap allocation once warm (a layer may size a scratch buffer on
+  ///     the first call for a new input shape) and no backward-facing state
+  ///     (backward() after eval_into() is invalid);
   ///   * `input`/`output` must not alias.
-  /// Base implementation throws std::logic_error (check supports_eval_into).
   virtual void eval_into(const Shape& input_shape, std::span<const float> input,
-                         std::span<float> output) {
-    (void)input_shape;
-    (void)input;
-    (void)output;
-    throw std::logic_error(kind() + ": eval_into not supported");
-  }
+                         std::span<float> output) = 0;
 
  protected:
+  /// Inference forward: a fresh output Tensor filled by eval_into().
+  [[nodiscard]] Tensor eval(const Tensor& input) {
+    Tensor out(output_shape(input.shape()));
+    eval_into(input.shape(), input.span(), out.span());
+    return out;
+  }
+
   const QuantizationSpec* quant_ = nullptr;  ///< Owned by the Network.
 };
 

@@ -29,26 +29,40 @@ Shape MaxPool2d::output_shape(const Shape& input_shape) const {
 }
 
 Tensor MaxPool2d::forward(const Tensor& input, bool training) {
-  const Shape out_shape = output_shape(input.shape());
   cached_input_shape_ = input.shape();
-  Tensor out(out_shape);
   // The argmax map exists only for backward(); at inference it is cleared so
   // a stale map from an earlier training pass can never be routed through.
-  if (training) {
-    argmax_.assign(out.numel(), 0);
-  } else {
+  if (!training) {
     argmax_.clear();
+    return eval(input);
   }
+  Tensor out(output_shape(input.shape()));
+  argmax_.assign(out.numel(), 0);
+  pool(input.shape(), input.span(), out.span(), argmax_.data());
+  return out;
+}
 
-  const std::size_t batch = input.dim(0);
-  const std::size_t channels = input.dim(1);
-  const std::size_t h_in = input.dim(2);
-  const std::size_t w_in = input.dim(3);
+void MaxPool2d::eval_into(const Shape& input_shape, std::span<const float> input,
+                          std::span<float> output) {
+  pool(input_shape, input, output, nullptr);
+}
+
+void MaxPool2d::pool(const Shape& input_shape, std::span<const float> input,
+                     std::span<float> output, std::size_t* argmax) const {
+  // Extents computed inline (no Shape construction): eval_into must not
+  // allocate. Callers validated the shape through output_shape().
+  const std::size_t batch = input_shape[0];
+  const std::size_t channels = input_shape[1];
+  const std::size_t h_in = input_shape[2];
+  const std::size_t w_in = input_shape[3];
+  const std::size_t h_out = (h_in - window_) / stride_ + 1;
+  const std::size_t w_out = (w_in - window_) / stride_ + 1;
   std::size_t flat_out = 0;
   for (std::size_t n = 0; n < batch; ++n) {
     for (std::size_t c = 0; c < channels; ++c) {
-      for (std::size_t oy = 0; oy < out_shape[2]; ++oy) {
-        for (std::size_t ox = 0; ox < out_shape[3]; ++ox, ++flat_out) {
+      for (std::size_t oy = 0; oy < h_out; ++oy) {
+        for (std::size_t ox = 0; ox < w_out; ++ox, ++flat_out) {
+          // Strict '>' keeps the first of tied maxima (row-major window order).
           float best = -std::numeric_limits<float>::infinity();
           std::size_t best_idx = 0;
           for (std::size_t ky = 0; ky < window_; ++ky) {
@@ -63,40 +77,8 @@ Tensor MaxPool2d::forward(const Tensor& input, bool training) {
               }
             }
           }
-          out[flat_out] = best;
-          if (training) argmax_[flat_out] = best_idx;
-        }
-      }
-    }
-  }
-  return out;
-}
-
-void MaxPool2d::eval_into(const Shape& input_shape, std::span<const float> input,
-                          std::span<float> output) {
-  // Extents computed inline (no Shape construction): eval_into must not
-  // allocate. The plan validated the shape at compile time.
-  const std::size_t batch = input_shape[0];
-  const std::size_t channels = input_shape[1];
-  const std::size_t h_in = input_shape[2];
-  const std::size_t w_in = input_shape[3];
-  const std::size_t h_out = (h_in - window_) / stride_ + 1;
-  const std::size_t w_out = (w_in - window_) / stride_ + 1;
-  std::size_t flat_out = 0;
-  for (std::size_t n = 0; n < batch; ++n) {
-    for (std::size_t c = 0; c < channels; ++c) {
-      for (std::size_t oy = 0; oy < h_out; ++oy) {
-        for (std::size_t ox = 0; ox < w_out; ++ox, ++flat_out) {
-          float best = -std::numeric_limits<float>::infinity();
-          for (std::size_t ky = 0; ky < window_; ++ky) {
-            for (std::size_t kx = 0; kx < window_; ++kx) {
-              const std::size_t iy = oy * stride_ + ky;
-              const std::size_t ix = ox * stride_ + kx;
-              const float v = input[((n * channels + c) * h_in + iy) * w_in + ix];
-              if (v > best) best = v;
-            }
-          }
           output[flat_out] = best;
+          if (argmax != nullptr) argmax[flat_out] = best_idx;
         }
       }
     }
@@ -131,40 +113,14 @@ Shape AvgPool2d::output_shape(const Shape& input_shape) const {
 }
 
 Tensor AvgPool2d::forward(const Tensor& input, bool /*training*/) {
-  const Shape out_shape = output_shape(input.shape());
   cached_input_shape_ = input.shape();
-  Tensor out(out_shape);
-
-  const std::size_t batch = input.dim(0);
-  const std::size_t channels = input.dim(1);
-  const std::size_t h_in = input.dim(2);
-  const std::size_t w_in = input.dim(3);
-  const float inv_area = 1.0F / static_cast<float>(window_ * window_);
-  std::size_t flat_out = 0;
-  for (std::size_t n = 0; n < batch; ++n) {
-    for (std::size_t c = 0; c < channels; ++c) {
-      for (std::size_t oy = 0; oy < out_shape[2]; ++oy) {
-        for (std::size_t ox = 0; ox < out_shape[3]; ++ox, ++flat_out) {
-          float acc = 0.0F;
-          for (std::size_t ky = 0; ky < window_; ++ky) {
-            for (std::size_t kx = 0; kx < window_; ++kx) {
-              const std::size_t iy = oy * stride_ + ky;
-              const std::size_t ix = ox * stride_ + kx;
-              acc += input[((n * channels + c) * h_in + iy) * w_in + ix];
-            }
-          }
-          out[flat_out] = acc * inv_area;
-        }
-      }
-    }
-  }
-  return out;
+  return eval(input);
 }
 
 void AvgPool2d::eval_into(const Shape& input_shape, std::span<const float> input,
                           std::span<float> output) {
   // Extents computed inline (no Shape construction): eval_into must not
-  // allocate. Accumulation order matches forward() exactly.
+  // allocate.
   const std::size_t batch = input_shape[0];
   const std::size_t channels = input_shape[1];
   const std::size_t h_in = input_shape[2];

@@ -20,7 +20,6 @@ class MaxPool2d : public Layer {
   [[nodiscard]] std::string describe() const override;
   [[nodiscard]] Shape output_shape(const Shape& input_shape) const override;
   [[nodiscard]] bool is_activation() const override { return true; }
-  [[nodiscard]] bool supports_eval_into() const noexcept override { return true; }
   void eval_into(const Shape& input_shape, std::span<const float> input,
                  std::span<float> output) override;
 
@@ -28,6 +27,11 @@ class MaxPool2d : public Layer {
   [[nodiscard]] std::size_t stride() const noexcept { return stride_; }
 
  private:
+  /// The pooling loop of eval_into(); a training forward also records each
+  /// output's winning input index into `argmax` (nullptr at inference).
+  void pool(const Shape& input_shape, std::span<const float> input,
+            std::span<float> output, std::size_t* argmax) const;
+
   std::size_t window_;
   std::size_t stride_;
   Shape cached_input_shape_;
@@ -45,7 +49,6 @@ class AvgPool2d : public Layer {
   [[nodiscard]] std::string describe() const override;
   [[nodiscard]] Shape output_shape(const Shape& input_shape) const override;
   [[nodiscard]] bool is_activation() const override { return true; }
-  [[nodiscard]] bool supports_eval_into() const noexcept override { return true; }
   void eval_into(const Shape& input_shape, std::span<const float> input,
                  std::span<float> output) override;
 

@@ -1,5 +1,6 @@
 #include "dnn/reshape.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace xl::dnn {
@@ -15,9 +16,12 @@ Shape Flatten::output_shape(const Shape& input_shape) const {
 
 Tensor Flatten::forward(const Tensor& input, bool /*training*/) {
   cached_input_shape_ = input.shape();
-  Tensor out = input;
-  out.reshape(output_shape(input.shape()));
-  return out;
+  return eval(input);
+}
+
+void Flatten::eval_into(const Shape& /*input_shape*/, std::span<const float> input,
+                        std::span<float> output) {
+  std::copy(input.begin(), input.end(), output.begin());
 }
 
 Tensor Flatten::backward(const Tensor& grad_output) {

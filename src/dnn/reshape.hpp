@@ -16,6 +16,8 @@ class Flatten : public Layer {
   /// shape change (the cached shape stays backward-compatible because
   /// planned execution never calls forward()).
   [[nodiscard]] bool inference_identity() const noexcept override { return true; }
+  void eval_into(const Shape& input_shape, std::span<const float> input,
+                 std::span<float> output) override;
 
  private:
   Shape cached_input_shape_;

@@ -310,7 +310,7 @@ ScenarioOutcome ScenarioRunner::run() {
   if (!spec_.description.empty()) writer.field("description", spec_.description);
   writer.field("mode", mode_name(spec_.mode));
   write_config_echo(writer, spec_);
-  api::write_effect_config(writer, spec_.config.vdp.effective_effects());
+  api::write_effect_config(writer, spec_.config.vdp.effects);
 
   ScenarioOutcome outcome;
   switch (spec_.mode) {

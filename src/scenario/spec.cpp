@@ -181,7 +181,6 @@ ScenarioSpec ScenarioSpec::parse(const ScenarioDocument& doc) {
     v.q_factor = s.get_double("q_factor", v.q_factor);
     v.fsr_nm = s.get_double("fsr_nm", v.fsr_nm);
     v.center_wavelength_nm = s.get_double("center_wavelength_nm", v.center_wavelength_nm);
-    v.model_crosstalk = s.get_bool("crosstalk", v.model_crosstalk);
     s.finish();
   }
 
@@ -398,7 +397,6 @@ std::string ScenarioSpec::serialize() const {
   kv("q_factor", fmt(v.q_factor));
   kv("fsr_nm", fmt(v.fsr_nm));
   kv("center_wavelength_nm", fmt(v.center_wavelength_nm));
-  kv("crosstalk", fmt(v.model_crosstalk));
 
   const core::EffectConfig& e = v.effects;
   out += "\n[effects]\n";

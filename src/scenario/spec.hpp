@@ -17,7 +17,7 @@
 //   [architecture] N, K, n, m, mrs_per_bank, resolution_bits, variant,
 //                  pitch_ted_um, pitch_guard_um
 //   [datapath]     mrs_per_bank, resolution_bits, q_factor, fsr_nm,
-//                  center_wavelength_nm, crosstalk
+//                  center_wavelength_nm
 //   [effects]      stages (EffectConfig::parse csv), seed, thermal.pitch_um,
 //                  thermal.use_ted, thermal.ambient_drift_nm,
 //                  thermal.ambient_period_us, thermal.dt_us, fpv.design,

@@ -62,7 +62,7 @@ TEST(BatchedVdpEngine, ParityHoldsWithoutCrosstalkAndAtLowResolution) {
   const auto x = random_matrix(3, 20, rng, 0.0, 1.0);
   const auto w = random_matrix(6, 20, rng, -0.5, 0.5);
   core::VdpSimOptions no_xt;
-  no_xt.model_crosstalk = false;
+  no_xt.effects.crosstalk = false;
   expect_matches_scalar_loop(no_xt, x, w);
 
   core::VdpSimOptions low_bits;
@@ -317,7 +317,7 @@ TEST(BatchedVdpEngine, WorkCountersFollowClosedForms) {
 
   // Without noise no key is hashed; without crosstalk no D product is formed.
   core::VdpSimOptions quiet;
-  quiet.model_crosstalk = false;
+  quiet.effects.crosstalk = false;
   core::BatchedVdpEngine engine(quiet);
   PlannedGemm gemm(engine, w, outputs, k, bsz);
   (void)gemm.run(mixed.data(), bsz);

@@ -446,110 +446,5 @@ TEST(DseEngine, ProgressCallbackIsMonotoneAndComplete) {
   EXPECT_EQ(total_seen.load(), result.stats.evaluations);
 }
 
-// --- memo export / import / merge -------------------------------------------
-
-TEST(DseMemo, MergeOfDisjointCachesMakesWarmRunZeroEvaluatorCalls) {
-  const std::vector<xl::dnn::ModelSpec> models{xl::dnn::lenet5_spec()};
-  const DseSweep sweep = small_sweep();
-  const std::vector<DseCandidate> admitted = DseEngine::admit(sweep);
-  ASSERT_GT(admitted.size(), 1u);
-
-  // Two engines each evaluate a disjoint half of the admitted grid.
-  std::vector<DseCandidate> evens;
-  std::vector<DseCandidate> odds;
-  for (std::size_t i = 0; i < admitted.size(); ++i) {
-    (i % 2 == 0 ? evens : odds).push_back(admitted[i]);
-  }
-  DseEngine engine_a;
-  DseEngine engine_b;
-  const DseMemo delta_a = engine_a.populate(evens, models);
-  const DseMemo delta_b = engine_b.populate(odds, models);
-  EXPECT_EQ(delta_a.size(), evens.size() * models.size());
-  EXPECT_EQ(delta_b.size(), odds.size() * models.size());
-
-  // Merge the two disjoint caches; the union covers the whole grid.
-  DseMemo merged = engine_a.export_memo();
-  merged.merge(engine_b.export_memo());
-  EXPECT_EQ(merged.size(), admitted.size() * models.size());
-  for (std::size_t i = 1; i < merged.entries.size(); ++i) {
-    EXPECT_LT(merged.entries[i - 1].key, merged.entries[i].key) << "unsorted merge";
-  }
-
-  // A fresh engine warmed with the merged memo runs the sweep with ZERO
-  // evaluator calls — and matches a from-scratch run bit-for-bit.
-  std::atomic<std::size_t> calls{0};
-  const DseCandidateEvaluator counting =
-      [&calls](const DseCandidate& c, const xl::dnn::ModelSpec& model) {
-        ++calls;
-        return CrossLightAccelerator(c.config).evaluate(model);
-      };
-  DseEngine warm;
-  EXPECT_EQ(warm.import_memo(merged), merged.size());
-  const DseResult warm_result = warm.run(sweep, models, counting);
-  EXPECT_EQ(calls.load(), 0u) << "merged union cache must cover the grid";
-  EXPECT_EQ(warm_result.stats.evaluations, 0u);
-
-  DseEngine cold;
-  const DseResult cold_result = cold.run(sweep, models);
-  expect_points_identical(cold_result.points, warm_result.points);
-  expect_points_identical(cold_result.pareto, warm_result.pareto);
-}
-
-TEST(DseMemo, OverlappingEntriesMustAgreeBitExactlyOrFailLoudly) {
-  const std::vector<xl::dnn::ModelSpec> models{xl::dnn::lenet5_spec()};
-  const std::vector<DseCandidate> admitted = DseEngine::admit(small_sweep());
-  DseEngine engine_a;
-  DseEngine engine_b;
-  (void)engine_a.populate(admitted, models);
-  (void)engine_b.populate(admitted, models);
-
-  // Deterministic evaluations: the full overlap agrees, so the merge is the
-  // identity (no duplicates, no growth) and the import inserts nothing new.
-  DseMemo merged = engine_a.export_memo();
-  merged.merge(engine_b.export_memo());
-  EXPECT_EQ(merged.size(), admitted.size() * models.size());
-  EXPECT_EQ(engine_a.import_memo(engine_b.export_memo()), 0u);
-
-  // Flip one low mantissa bit of one overlapping report: both merge and
-  // import must throw, naming the key — never silently pick a side.
-  DseMemo tampered = engine_b.export_memo();
-  tampered.entries.front().report.perf.fps =
-      std::nextafter(tampered.entries.front().report.perf.fps, 1e300);
-  try {
-    merged.merge(tampered);
-    FAIL() << "merge accepted divergent reports";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find(tampered.entries.front().key),
-              std::string::npos)
-        << e.what();
-  }
-  EXPECT_THROW((void)engine_a.import_memo(tampered), std::runtime_error);
-  // reports_bit_identical is object-representation equality, so the flip is
-  // visible even where operator== comparisons could be fooled.
-  EXPECT_FALSE(reports_bit_identical(tampered.entries.front().report,
-                                     engine_b.export_memo().entries.front().report));
-}
-
-TEST(DseMemo, PopulateReturnsExactlyTheFreshDelta) {
-  const std::vector<xl::dnn::ModelSpec> models{xl::dnn::lenet5_spec()};
-  const std::vector<DseCandidate> admitted = DseEngine::admit(small_sweep());
-  std::atomic<std::size_t> calls{0};
-  const DseCandidateEvaluator counting =
-      [&calls](const DseCandidate& c, const xl::dnn::ModelSpec& model) {
-        ++calls;
-        return CrossLightAccelerator(c.config).evaluate(model);
-      };
-  DseEngine engine;
-  const DseMemo first = engine.populate(admitted, models, counting);
-  EXPECT_EQ(first.size(), calls.load()) << "delta size must equal calls paid";
-  EXPECT_EQ(first.size(), admitted.size() * models.size());
-  // Warm slice: nothing fresh, nothing paid.
-  const DseMemo second = engine.populate(admitted, models, counting);
-  EXPECT_TRUE(second.empty());
-  EXPECT_EQ(calls.load(), first.size());
-  // The engine's snapshot equals the accumulated deltas.
-  EXPECT_EQ(engine.export_memo().size(), first.size());
-}
-
 }  // namespace
 }  // namespace xl::core

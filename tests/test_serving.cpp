@@ -7,9 +7,11 @@
 // The TSan CI job runs this binary with -fsanitize=thread.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <span>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -658,17 +660,18 @@ TEST(AcceleratorShardFault, FailedBatchFailsEveryPromiseThenShardKeepsServing) {
 
 constexpr float kTripwire = 1234.5F;
 
-/// Electronic pass-through layer whose forward throws when any row's first
+/// Electronic pass-through layer whose eval_into throws when any row's first
 /// input is the sentinel: a failure inside a planned micro-batch, with the
 /// photonic steps still ahead of it.
 class TripwireLayer : public dnn::Layer {
  public:
-  dnn::Tensor forward(const dnn::Tensor& input, bool) override {
-    const std::size_t row_elems = input.numel() / input.dim(0);
-    for (std::size_t r = 0; r < input.dim(0); ++r) {
+  void eval_into(const dnn::Shape& input_shape, std::span<const float> input,
+                 std::span<float> output) override {
+    const std::size_t row_elems = input.size() / input_shape[0];
+    for (std::size_t r = 0; r < input_shape[0]; ++r) {
       if (input[r * row_elems] == kTripwire) throw std::runtime_error("tripwire");
     }
-    return input;
+    std::copy(input.begin(), input.end(), output.begin());
   }
   dnn::Tensor backward(const dnn::Tensor& grad_output) override { return grad_output; }
   [[nodiscard]] std::string kind() const override { return "tripwire"; }

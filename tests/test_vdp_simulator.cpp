@@ -103,9 +103,9 @@ TEST(VdpSim, LongVectorsChunkAcrossArms) {
 
 TEST(VdpSim, CrosstalkInjectsSystematicError) {
   VdpSimOptions with;
-  with.model_crosstalk = true;
+  with.effects.crosstalk = true;
   VdpSimOptions without;
-  without.model_crosstalk = false;
+  without.effects.crosstalk = false;
   const VdpSimulator sim_with(with);
   const VdpSimulator sim_without(without);
 
@@ -127,10 +127,10 @@ TEST_P(VdpResolutionSweep, ErrorShrinksWithBits) {
   const int bits = GetParam();
   VdpSimOptions low;
   low.resolution_bits = bits;
-  low.model_crosstalk = false;
+  low.effects.crosstalk = false;
   VdpSimOptions high;
   high.resolution_bits = std::min(16, bits + 6);
-  high.model_crosstalk = false;
+  high.effects.crosstalk = false;
   const VdpSimulator sim_low(low);
   const VdpSimulator sim_high(high);
 
